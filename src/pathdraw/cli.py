@@ -1,7 +1,8 @@
 """Command-line front end: layout, gen, and bench subcommands.
 
 Exit codes: 0 on success, 2 on input errors (bad files, bad flags,
-invalid decompositions), 3 on internal invariant violations.
+invalid decompositions), 3 on internal errors: a failed invariant or any
+other exception raised inside a stage, reported with the stage name.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from .decomposition import DecompositionError
 from .generator import generate_random_dag
 from .graph import GraphError, serialize_graph
 from .metrics import count_vertex_touches
-from .pipeline import ConfigError, InvariantError, PipelineConfig, StageError, run_pipeline_full
+from .pipeline import (
+    ConfigError,
+    InvariantError,
+    PipelineConfig,
+    StageError,
+    run_pipeline_full,
+    run_stage,
+)
 from .render import metrics_block, render_json, render_svg
 
 
@@ -75,29 +83,28 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         bundle_transitive=not args.no_bundle_transitive,
         bundle_cross=not args.no_bundle_cross,
         reorder=not args.no_reorder,
-        svg_path=args.svg,
-        json_path=args.json,
-        emit_metrics=args.metrics,
         seed=args.seed,
     )
     result = run_pipeline_full(config)
+    # result.metrics is computed on first read, so --svg alone never pays for it
     if args.svg:
-        Path(args.svg).write_text(render_svg(result.layout), encoding="utf-8")
+        svg = run_stage("render", render_svg, result.layout)
+        Path(args.svg).write_text(svg, encoding="utf-8")
     if args.json:
-        Path(args.json).write_text(
-            render_json(
-                result.layout,
-                result.metrics,
-                bundles=result.drawing.bundles,
-                bundle_of=result.drawing.bundle_of,
-                seed=result.seed,
-                toggles=result.toggles,
-                version=__version__,
-            ),
-            encoding="utf-8",
+        doc = run_stage(
+            "render",
+            render_json,
+            result.layout,
+            result.metrics,
+            bundles=result.drawing.bundles,
+            bundle_of=result.drawing.bundle_of,
+            seed=result.seed,
+            toggles=result.toggles,
+            version=__version__,
         )
+        Path(args.json).write_text(doc, encoding="utf-8")
     if args.metrics:
-        extra = {"vertex_touches": count_vertex_touches(result.layout)}
+        extra = {"vertex_touches": run_stage("metrics", count_vertex_touches, result.layout)}
         sys.stdout.write(metrics_block(result.metrics, extra))
     return 0
 

@@ -122,7 +122,7 @@ def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     return EdgeClassification(frozenset(path_edges), frozenset(transitive), frozenset(cross))
 
 
-def _hopcroft_karp(n: int, adj: list[list[int]]) -> list[int]:
+def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> list[int]:
     """Maximum matching on the split bipartite graph; returns match_left.
 
     Left copy u is the out-side of vertex u, right copy v the in-side;
@@ -154,20 +154,45 @@ def _hopcroft_karp(n: int, adj: list[list[int]]) -> list[int]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_right[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = INF
-        return False
+    nxt = [0] * n  # for each vertex on the stack, the adj index being tried
+
+    def augment(root: int) -> bool:
+        # layered depth-first search on an explicit stack, so a long
+        # augmenting path cannot exhaust the interpreter's recursion limit
+        stack = [root]
+        nxt[root] = 0
+        u = root
+        while True:
+            layer = dist[u] + 1
+            i = nxt[u]
+            for v in adj[u][i:] if i else adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    nxt[u] = i
+                    for x in stack:  # each vertex on the path takes its tried edge
+                        v = adj[x][nxt[x]]
+                        match_left[x] = v
+                        match_right[v] = x
+                    return True
+                if dist[w] == layer:
+                    nxt[u] = i
+                    nxt[w] = 0
+                    stack.append(w)
+                    u = w
+                    break
+                i += 1
+            else:
+                dist[u] = INF
+                stack.pop()
+                if not stack:
+                    return False
+                u = stack[-1]
+                nxt[u] += 1
 
     while bfs():
         for u in range(n):
-            if match_left[u] == -1:
-                dfs(u)
+            if match_left[u] == -1 and adj[u]:  # no out-edge: nothing to match
+                augment(u)
     return match_left
 
 
@@ -179,9 +204,8 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     first vertex, which fixes the column order of the drawing.
     """
     rank = topo_sort(g).rank  # also rejects cyclic input
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in sorted(g.edges):
-        adj[u].append(v)
+    # successor tuples are sorted, so edges are tried in ascending id order
+    adj = [g.successors(u) for u in range(g.vertex_count)]
     match_left = _hopcroft_karp(g.vertex_count, adj)
     next_of = {u: v for u, v in enumerate(match_left) if v != -1}
     has_prev = set(next_of.values())

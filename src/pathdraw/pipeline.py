@@ -1,29 +1,31 @@
-"""Pipeline orchestration: input to finished drawing plus metrics.
+"""Pipeline orchestration: input to finished drawing, metrics on demand.
 
 Stages run in a fixed order -- parse or generate, cycle removal, topological
-sort, decomposition (given or computed), drawing (placement, compaction,
-bundling, routing, reorder), metrics. Any stage failure is re-raised with
-the stage name attached. The wall-clock window that the benchmark reports
-covers cycle removal, the topological sort, and the drawing stages; parsing,
-the path-cover computation (part of the input in this framework), metrics,
-and file emission stay outside the clock.
+sort, decomposition (given or computed), drawing (row placement and
+compaction, transitive bundling with lane packing and reorder, cross-edge
+gap routing, grid assembly), the property self-check. Metrics are computed
+only when ``PipelineResult.metrics`` is first read. Any stage failure is
+re-raised with the stage name attached. The wall-clock window that the
+benchmark reports covers cycle removal, the topological sort, and the
+drawing stages; parsing, the path-cover computation (part of the input in
+this framework), metrics, and file emission stay outside the clock.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .decomposition import (
-    DecompositionError,
     PathDecomposition,
     min_path_cover,
     parse_decomposition,
 )
 from .drawing import Drawing, draw
 from .generator import generate_random_dag
-from .graph import DiGraph, GraphError, parse_graph, remove_cycles, topo_sort
+from .graph import DiGraph, parse_graph, remove_cycles, topo_sort
 from .layout import Layout, MetricsReport, assert_properties
 from .metrics import measure
 
@@ -55,9 +57,6 @@ class PipelineConfig:
     bundle_transitive: bool = True
     bundle_cross: bool = True
     reorder: bool = True
-    svg_path: str | None = None
-    json_path: str | None = None
-    emit_metrics: bool = False
 
     def validate(self) -> None:
         file_source = self.input_path is not None
@@ -73,7 +72,6 @@ class PipelineConfig:
 @dataclass
 class PipelineResult:
     layout: Layout
-    metrics: MetricsReport
     drawing: Drawing
     graph: DiGraph
     decomposition: PathDecomposition
@@ -81,22 +79,28 @@ class PipelineResult:
     toggles: dict[str, bool] = field(default_factory=dict)
     seed: int | None = None
 
+    @cached_property
+    def metrics(self) -> MetricsReport:
+        """Quality metrics of the layout, computed on first access."""
+        return run_stage("metrics", measure, self.layout)
 
-def _stage(name: str, fn, *args, **kwargs):
+
+def run_stage(name: str, fn, *args, **kwargs):
+    """Run one stage; any exception it raises becomes a ``StageError``."""
     try:
         return fn(*args, **kwargs)
-    except (GraphError, DecompositionError, ConfigError, OSError) as exc:
+    except Exception as exc:
         raise StageError(name, exc) from exc
 
 
 def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
     """Execute every enabled stage and keep the rich intermediate results."""
-    _stage("config", config.validate)
+    run_stage("config", config.validate)
     if config.input_path is not None:
-        text = _stage("read", Path(config.input_path).read_text)
-        g = _stage("parse", parse_graph, text)
+        text = run_stage("read", Path(config.input_path).read_text)
+        g = run_stage("parse", parse_graph, text)
     else:
-        g = _stage(
+        g = run_stage(
             "generate",
             generate_random_dag,
             config.gen_n,
@@ -105,19 +109,19 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
         )
 
     t0 = time.perf_counter()
-    removal = _stage("cycle-removal", remove_cycles, g)
+    removal = run_stage("cycle-removal", remove_cycles, g)
     dag = removal.dag
-    order = _stage("topo-sort", topo_sort, dag)
+    order = run_stage("topo-sort", topo_sort, dag)
     timed = time.perf_counter() - t0
 
     if config.decomposition_path is not None:
-        text = _stage("read-paths", Path(config.decomposition_path).read_text)
-        d = _stage("decomposition", parse_decomposition, text, dag)
+        text = run_stage("read-paths", Path(config.decomposition_path).read_text)
+        d = run_stage("decomposition", parse_decomposition, text, dag)
     else:
-        d = _stage("decomposition", min_path_cover, dag)
+        d = run_stage("decomposition", min_path_cover, dag)
 
     t1 = time.perf_counter()
-    drawing = _stage(
+    drawing = run_stage(
         "draw",
         draw,
         dag,
@@ -131,11 +135,10 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
     timed += time.perf_counter() - t1
 
     if config.compact:
-        violation = assert_properties(dag, drawing.layout)
+        violation = run_stage("self-check", assert_properties, dag, drawing.layout)
         if violation is not None:
             raise InvariantError(str(violation))
 
-    metrics = _stage("metrics", measure, drawing.layout)
     toggles = {
         "compact": config.compact,
         "bundle_transitive": config.bundle_transitive,
@@ -144,7 +147,6 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
     }
     return PipelineResult(
         layout=drawing.layout,
-        metrics=metrics,
         drawing=drawing,
         graph=dag,
         decomposition=d,

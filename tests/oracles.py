@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the test suite.
 
 Each oracle takes the dumbest correct route: full path enumeration, full
-row scans, all-pairs segment tests, exhaustive next-pointer assignment.
+row scans, all-pairs segment tests, every vertex against every segment,
+exhaustive next-pointer assignment.
 They share no code with the library so a bug cannot hide on both sides.
 """
 
@@ -73,6 +74,30 @@ def crossing_pairs_bruteforce(routes: dict) -> set:
     return crossed
 
 
+def vertex_touches_bruteforce(positions: dict, routes: dict) -> int:
+    """Every vertex tested against every segment of every other edge's route.
+
+    Counts (edge, vertex) pairs where the vertex's grid point lies on the
+    closed segment, the vertex being neither endpoint of the edge.
+    """
+    touches = 0
+    for (u, w), route in routes.items():
+        for v, (px, py) in positions.items():
+            if v == u or v == w:
+                continue
+            for (ax, ay), (bx, by) in zip(route, route[1:]):
+                if (ax, ay) == (bx, by):
+                    continue
+                if (
+                    _orient(ax, ay, bx, by, px, py) == 0
+                    and min(ax, bx) <= px <= max(ax, bx)
+                    and min(ay, by) <= py <= max(ay, by)
+                ):
+                    touches += 1
+                    break
+    return touches
+
+
 def segment_count(routes: dict) -> int:
     return sum(
         1
@@ -126,3 +151,17 @@ def random_digraph(n: int, m: int, rng: random.Random) -> DiGraph:
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = rng.sample(pairs, min(m, len(pairs)))
     return DiGraph.build(n, sorted(chosen))
+
+
+def ladder_dag(k: int) -> DiGraph:
+    """A DAG whose last free vertex needs an augmenting path of length ~k.
+
+    Right vertices b_1..b_{k+1} have ids 0..k, left vertices a_1..a_k ids
+    k+1..2k and a_0 id 2k+1. Edges: a_0->b_1, a_i->b_i and a_i->b_{i+1}.
+    Matching in id order pairs every a_i with b_i first, so a_0 can only be
+    matched by shifting all of them along. The minimum cover has k+1 paths.
+    """
+    edges = [(2 * k + 1, 0)]
+    for i in range(1, k + 1):
+        edges += [(k + i, i - 1), (k + i, i)]
+    return DiGraph.build(2 * k + 2, sorted(edges))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import max_matching_bruteforce, min_cover_bruteforce
+from oracles import ladder_dag, max_matching_bruteforce, min_cover_bruteforce
 from pathdraw import (
     DecompositionError,
     DiGraph,
@@ -103,6 +103,14 @@ class TestMinPathCover:
         n = rng.randrange(2, 11)
         g = generate_random_dag(n, rng.uniform(0.5, 2.0), seed)
         assert min_path_cover(g).path_count == min_cover_bruteforce(g)
+
+    def test_long_augmenting_path_does_not_recurse(self):
+        # the last augmenting path runs through all 5,000 left vertices
+        k = 5000
+        g = ladder_dag(k)
+        d = min_path_cover(g)
+        assert d.path_count == k + 1
+        assert validate_decomposition(g, d).ok
 
 
 class TestParseDecomposition:

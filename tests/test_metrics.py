@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from oracles import crossing_pairs_bruteforce, segment_count
+from oracles import crossing_pairs_bruteforce, segment_count, vertex_touches_bruteforce
 from pathdraw import (
     DiGraph,
     Layout,
@@ -15,7 +17,7 @@ from pathdraw import (
     measure,
     min_path_cover,
 )
-from pathdraw.metrics import routes_cross, segments_properly_cross
+from pathdraw.metrics import segments_properly_cross
 
 
 def _toy_layout(routes, positions=None, categories=None):
@@ -26,8 +28,9 @@ def _toy_layout(routes, positions=None, categories=None):
     y = {v: positions.get(v, (0, 0))[1] for v in verts}
     for e, route in routes.items():
         u, w = e
-        x[u], y[u] = route[0]
-        x[w], y[w] = route[-1]
+        if route:
+            x[u], y[u] = route[0]
+            x[w], y[w] = route[-1]
     return Layout(
         x=x,
         y=y,
@@ -60,7 +63,7 @@ class TestCrossingPredicate:
     def test_polyline_pair_crossing_found_on_any_segment(self):
         a = ((0, 0), (4, 0), (4, 4))
         b = ((2, -1), (2, 1), (6, 1))
-        assert routes_cross(a, b)
+        assert count_crossings(_toy_layout({(0, 1): a, (2, 3): b})) == 1
 
 
 class TestCountCrossings:
@@ -75,6 +78,145 @@ class TestCountCrossings:
         g = DiGraph.build(5, [(i, i + 1) for i in range(4)])
         lay = draw(g, PathDecomposition(((0, 1, 2, 3, 4),))).layout
         assert count_crossings(lay) == 0
+
+
+def _positions(layout):
+    return {v: (layout.x[v], layout.y[v]) for v in layout.x}
+
+
+def _arbitrary_layout(rng: random.Random) -> Layout:
+    """Random integer polylines between random vertex positions.
+
+    Routes step horizontally, vertically, in place, or to any point of a
+    box around the origin, so negative coordinates, diagonals of every
+    slope and length, T-junctions, collinear overlaps and repeated
+    crossings between one pair of routes all occur. A few routes are empty
+    or a single point. Vertices may share a grid point.
+    """
+    n = rng.randint(2, 10)
+    r = rng.choice((3, 6, 12))
+    pos = {v: (rng.randint(-r, r), rng.randint(-r, r)) for v in range(n)}
+    routes = {}
+    for _ in range(rng.randint(1, 12)):
+        u, w = rng.sample(range(n), 2)
+        pts = [pos[u]]
+        for _ in range(rng.randint(0, 4)):
+            x, y = pts[-1]
+            step = rng.random()
+            if step < 0.3:
+                pts.append((rng.randint(-r, r), y))
+            elif step < 0.6:
+                pts.append((x, rng.randint(-r, r)))
+            elif step < 0.7:
+                pts.append((x, y))
+            else:
+                pts.append((rng.randint(-r, r), rng.randint(-r, r)))
+        pts.append(pos[w])
+        kind = rng.random()
+        routes[(u, w)] = () if kind < 0.05 else tuple(pts[:1] if kind < 0.08 else pts)
+    return Layout(
+        x={v: p[0] for v, p in pos.items()},
+        y={v: p[1] for v, p in pos.items()},
+        routes=routes,
+        category={e: "cross" for e in routes},
+        column_meta={},
+        paths=tuple((v,) for v in pos),
+    )
+
+
+def _chains_layout(k: int, length: int, seed: int) -> Layout:
+    """k chains drawn as the paths, with skip edges bundled onto lane trunks
+    and cross edges one to four positions down another chain."""
+    rng = random.Random(seed)
+    edges = set()
+    for c in range(k):
+        base = c * length
+        for j in range(length - 1):
+            edges.add((base + j, base + j + 1))
+            for skip in range(2, 7):
+                if j + skip < length and rng.random() < 0.4:
+                    edges.add((base + j, base + j + skip))
+            other = rng.choice([o for o in range(k) if o != c])
+            target = j + rng.randint(1, 4)
+            if target < length:
+                edges.add((base + j, other * length + target))
+    g = DiGraph.build(k * length, sorted(edges))
+    d = PathDecomposition(tuple(tuple(range(c * length, (c + 1) * length)) for c in range(k)))
+    return draw(g, d).layout
+
+
+def _with_cover(g):
+    return g, min_path_cover(g)
+
+
+class TestCountersAgainstOracles:
+    """The sweep counters against the all-pairs and all-vertices oracles."""
+
+    @pytest.mark.parametrize(
+        "routes, expected",
+        [
+            # a long diagonal through negative coordinates crossing three routes
+            (
+                {
+                    (0, 1): ((-6, -6), (6, 6)),
+                    (2, 3): ((-4, -5), (-4, 5)),
+                    (4, 5): ((-5, 1), (5, 1)),
+                    (6, 7): ((6, -6), (-6, 6)),
+                },
+                6,
+            ),
+            # T-junction: an endpoint interior to the other segment
+            ({(0, 1): ((0, 0), (0, 4)), (2, 3): ((0, 2), (3, 2))}, 0),
+            # collinear trunk overlap, vertical and horizontal
+            ({(0, 1): ((0, 0), (0, 5)), (2, 3): ((0, 2), (0, 8))}, 0),
+            ({(0, 1): ((0, 0), (5, 0)), (2, 3): ((2, 0), (8, 0))}, 0),
+            # an H-V-H route crossing one vertical twice counts once
+            ({(0, 1): ((-2, 1), (2, 1), (2, 3), (-2, 3)), (2, 3): ((0, 0), (0, 5))}, 1),
+            # empty and single-point routes have no segments
+            ({(0, 1): (), (2, 3): ((1, 1),), (4, 5): ((0, 0), (2, 2))}, 0),
+            # a diagonal through a vertical's endpoint and a horizontal's endpoint
+            (
+                {
+                    (0, 1): ((0, 0), (4, 4)),
+                    (2, 3): ((2, 2), (2, 6)),
+                    (4, 5): ((1, 1), (-3, 1)),
+                },
+                0,
+            ),
+        ],
+    )
+    def test_adversarial_cases(self, routes, expected):
+        lay = _toy_layout(routes)
+        assert count_crossings(lay) == expected
+        assert expected == len(crossing_pairs_bruteforce(lay.routes))
+        assert count_vertex_touches(lay) == vertex_touches_bruteforce(
+            _positions(lay), lay.routes
+        )
+
+    def test_arbitrary_integer_polylines(self):
+        rng = random.Random(20220909)
+        for _ in range(3000):
+            lay = _arbitrary_layout(rng)
+            assert count_crossings(lay) == len(crossing_pairs_bruteforce(lay.routes))
+            assert count_vertex_touches(lay) == vertex_touches_bruteforce(
+                _positions(lay), lay.routes
+            )
+
+    @pytest.mark.parametrize(
+        "layout_of",
+        [
+            lambda: draw(*_with_cover(generate_random_dag(300, 1.6, seed=11))).layout,
+            lambda: _chains_layout(4, 30, seed=3),
+        ],
+        ids=["report-sized-dag", "chains-with-trunks"],
+    )
+    def test_pipeline_layouts_above_the_oracle_cap(self, layout_of):
+        lay = layout_of()
+        assert segment_count(lay.routes) > 500
+        assert count_crossings(lay) == len(crossing_pairs_bruteforce(lay.routes))
+        assert count_vertex_touches(lay) == vertex_touches_bruteforce(
+            _positions(lay), lay.routes
+        )
 
 
 class TestCountBends:

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import pathdraw.cli
+import pathdraw.pipeline
+from oracles import ladder_dag
 from pathdraw import (
     DiGraph,
     GraphError,
@@ -315,6 +318,36 @@ class TestCli:
         paths = tmp_path / "bad.paths"
         paths.write_text("0 2\n1\n")
         assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+
+    def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):
+        edges = tmp_path / "ladder.edges"
+        edges.write_text(serialize_graph(ladder_dag(1200)))
+        assert main(["layout", str(edges), "--json", str(tmp_path / "l.json")]) == 0
+
+    def test_unexpected_stage_exception_exits_3_with_stage_name(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pathdraw.pipeline, "draw", broken)
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        assert main(["layout", str(edges)]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'draw'" in err
+        assert "boom" in err
+        assert "Traceback" not in err
+
+    def test_svg_alone_computes_no_metrics(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("metrics computed for --svg")
+
+        monkeypatch.setattr(pathdraw.pipeline, "measure", forbidden)
+        monkeypatch.setattr(pathdraw.cli, "count_vertex_touches", forbidden)
+        edges = tmp_path / "g.edges"
+        edges.write_text("4\n0 1\n0 2\n1 3\n2 3\n")
+        assert main(["layout", str(edges), "--svg", str(tmp_path / "g.svg")]) == 0
 
     def test_bench_csv(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
