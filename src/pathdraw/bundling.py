@@ -10,7 +10,8 @@ between trunks and connectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from itertools import permutations
 
@@ -59,18 +60,25 @@ def transitive_bundles(
     indegree or outdegree (ties: lower vertex id, then incoming before
     outgoing), bundle those edges into one interval, drop them, and update
     degrees. ``rows`` is the compacted vertical placement. Intervals of the
-    rightmost path go on its right side; all others go left. A
-    lazy-deletion max-heap keeps this O(t log t).
+    rightmost path go on its right side; all others go left. The
+    transitive edges are bucketed by path in one pass and a lazy-deletion
+    max-heap picks the anchors, which keeps this O(n + t log t) for t
+    transitive edges.
     """
     out: list[BundleInterval] = []
     last = d.path_count - 1
+    path_of: dict[int, int] = {}
     for pi, path in enumerate(d.paths):
-        on_path = set(path)
-        remaining = {
-            (u, v)
-            for (u, v) in classification.transitive_edges
-            if u in on_path and v in on_path
-        }
+        for v in path:
+            path_of[v] = pi
+    # one pass sorts the transitive edges into per-path buckets
+    buckets: list[list[tuple[int, int]]] = [[] for _ in d.paths]
+    for u, v in classification.transitive_edges:
+        pi = path_of.get(u)
+        if pi is not None and path_of.get(v) == pi:
+            buckets[pi].append((u, v))
+    for pi, path in enumerate(d.paths):
+        remaining = buckets[pi]
         if not remaining:
             continue
         indeg: dict[int, set[tuple[int, int]]] = {v: set() for v in path}
@@ -146,25 +154,54 @@ def pack_intervals(intervals) -> LanePacking:
     return LanePacking(tuple(tuple(lane) for lane in lanes))
 
 
-def _pair_crossings(nearer: BundleInterval, farther: BundleInterval) -> int:
-    """Member pairs where the farther bundle's connectors pierce the nearer's legs."""
+def _crossings(nearer_spans, farther) -> int:
+    """Span pairs where a farther span has an end strictly inside a nearer one.
+
+    ``farther`` holds the farther lane's sorted ``lo`` values, the ``hi`` of
+    each span in that order, and its sorted ``hi`` values. For each nearer
+    span (lo_a, hi_a), bisect counts the farther spans with ``lo`` inside
+    and those with ``hi`` inside. A span with both ends inside is counted
+    twice, so it is taken off once; all such spans lie in the ``lo`` slice,
+    and every span there is a crossing, so walking the slice costs no more
+    than the crossings found.
+    """
+    los, his_by_lo, his = farther
     count = 0
-    for lo_a, hi_a in nearer.member_spans:
-        for lo_b, hi_b in farther.member_spans:
-            if lo_a < lo_b < hi_a or lo_a < hi_b < hi_a:
-                count += 1
+    for lo_a, hi_a in nearer_spans:
+        if hi_a - lo_a < 2:
+            continue  # rows are integers: none lies strictly inside
+        first = bisect_right(los, lo_a)
+        stop = bisect_left(los, hi_a, first)
+        count += stop - first + bisect_left(his, hi_a) - bisect_right(his, lo_a)
+        for hi_b in his_by_lo[first:stop]:
+            if lo_a < hi_b < hi_a:
+                count -= 1
     return count
+
+
+def lane_pair_costs(lanes: tuple[tuple, ...]) -> list[list[int]]:
+    """``cost[i][j]``: trunk/connector crossings when lane i sits nearer than j.
+
+    A connector of the farther lane crosses a trunk leg of the nearer lane
+    when it leaves its spine on a row strictly inside that leg's span; one
+    member pair counts once even when both of its ends do. With M member
+    spans in L lanes and X crossing pairs this is O(L M log M + X).
+    """
+    spans = [sorted(span for iv in lane for span in iv.member_spans) for lane in lanes]
+    ends = [
+        ([lo for lo, _ in s], [hi for _, hi in s], sorted(hi for _, hi in s)) for s in spans
+    ]
+    count = len(lanes)
+    return [
+        [_crossings(spans[i], ends[j]) if i != j else 0 for j in range(count)]
+        for i in range(count)
+    ]
 
 
 def stack_crossings(lanes: tuple[tuple, ...]) -> int:
     """Trunk/connector crossings within one side stack, by lane order."""
-    total = 0
-    for near_i in range(len(lanes)):
-        for far_i in range(near_i + 1, len(lanes)):
-            for a in lanes[near_i]:
-                for b in lanes[far_i]:
-                    total += _pair_crossings(a, b)
-    return total
+    cost = lane_pair_costs(lanes)
+    return sum(cost[i][j] for i in range(len(lanes)) for j in range(i + 1, len(lanes)))
 
 
 _EXHAUSTIVE_LIMIT = 6
@@ -175,60 +212,58 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
 
     Exhaustive over all permutations for small stacks, adjacent-swap hill
     climbing otherwise. The result never has more crossings than the input,
-    and ties keep the incumbent order. Lane-pair costs are precomputed once
-    so candidate orders are scored without re-scanning members.
+    and ties keep the incumbent order. Swapping adjacent lanes a and b
+    changes only their own pair's term, so a swap is taken exactly when
+    ``pair_cost[b][a] < pair_cost[a][b]``. The climb ends: each accepted
+    swap strictly lowers the order's cost, a non-negative integer.
     """
     lanes = packing.lanes
     count = len(lanes)
     if count <= 1:
         return packing
-    # pair_cost[i][j]: crossings contributed when lane i sits nearer than j
-    pair_cost = [
-        [
-            sum(_pair_crossings(a, b) for a in lanes[i] for b in lanes[j])
-            if i != j
-            else 0
-            for j in range(count)
-        ]
-        for i in range(count)
-    ]
-
-    def cost_of(order: tuple[int, ...]) -> int:
-        return sum(
-            pair_cost[order[i]][order[j]]
-            for i in range(count)
-            for j in range(i + 1, count)
-        )
-
-    identity = tuple(range(count))
+    pair_cost = lane_pair_costs(lanes)
     if count <= _EXHAUSTIVE_LIMIT:
-        best = identity
-        best_cost = cost_of(identity)
+
+        def cost_of(order: tuple[int, ...]) -> int:
+            return sum(
+                pair_cost[order[i]][order[j]]
+                for i in range(count)
+                for j in range(i + 1, count)
+            )
+
+        best = tuple(range(count))
+        best_cost = cost_of(best)
         for perm in permutations(range(count)):
             c = cost_of(perm)
             if c < best_cost:
                 best, best_cost = perm, c
         return LanePacking(tuple(lanes[i] for i in best))
-    order = list(identity)
-    cost = cost_of(identity)
+    order = list(range(count))
     improved = True
     while improved:
         improved = False
         for i in range(count - 1):
-            order[i], order[i + 1] = order[i + 1], order[i]
-            swapped = cost_of(tuple(order))
-            if swapped < cost:
-                cost = swapped
+            a, b = order[i], order[i + 1]
+            if pair_cost[b][a] < pair_cost[a][b]:
+                order[i], order[i + 1] = b, a
                 improved = True
-            else:
-                order[i], order[i + 1] = order[i + 1], order[i]
     return LanePacking(tuple(lanes[i] for i in order))
 
 
 def with_lane_indices(packing: LanePacking) -> list[BundleInterval]:
     """Copies of the packed intervals with their lane index filled in."""
-    out = []
-    for li, lane in enumerate(packing.lanes):
-        for iv in lane:
-            out.append(replace(iv, lane=li))
-    return out
+    return [
+        BundleInterval(
+            path_index=iv.path_index,
+            anchor=iv.anchor,
+            direction=iv.direction,
+            members=iv.members,
+            start_row=iv.start_row,
+            finish_row=iv.finish_row,
+            side=iv.side,
+            lane=li,
+            member_spans=iv.member_spans,
+        )
+        for li, lane in enumerate(packing.lanes)
+        for iv in lane
+    ]

@@ -2,15 +2,16 @@
 
 Each oracle takes the dumbest correct route: full path enumeration, full
 row scans, all-pairs segment tests, every vertex against every segment,
-exhaustive next-pointer assignment.
+exhaustive next-pointer assignment, every member pair of every lane pair.
 They share no code with the library so a bug cannot hide on both sides.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
-from pathdraw import DiGraph
+from pathdraw import DiGraph, PathDecomposition
 
 
 def longest_ending_at_bruteforce(g: DiGraph) -> dict[int, int]:
@@ -165,3 +166,91 @@ def ladder_dag(k: int) -> DiGraph:
     for i in range(1, k + 1):
         edges += [(k + i, i - 1), (k + i, i)]
     return DiGraph.build(2 * k + 2, sorted(edges))
+
+
+def lane_pair_crossings_bruteforce(nearer, farther) -> int:
+    """Member pairs where the farther bundle's connectors pierce the nearer's legs."""
+    count = 0
+    for lo_a, hi_a in nearer.member_spans:
+        for lo_b, hi_b in farther.member_spans:
+            if lo_a < lo_b < hi_a or lo_a < hi_b < hi_a:
+                count += 1
+    return count
+
+
+def reorder_lanes_bruteforce(lanes) -> tuple[list[list[int]], tuple[int, ...]]:
+    """All-pairs lane-pair cost matrix and the lane order chosen from it.
+
+    ``cost[i][j]`` sums the bundle-pair crossings when lane i sits nearer
+    than lane j. Stacks of up to 6 lanes try every permutation; larger ones
+    hill-climb by adjacent swaps, re-scoring the whole order each time.
+    Ties keep the incumbent.
+    """
+    count = len(lanes)
+    cost = [
+        [
+            sum(lane_pair_crossings_bruteforce(a, b) for a in lanes[i] for b in lanes[j])
+            if i != j
+            else 0
+            for j in range(count)
+        ]
+        for i in range(count)
+    ]
+
+    def cost_of(order) -> int:
+        return sum(
+            cost[order[i]][order[j]] for i in range(count) for j in range(i + 1, count)
+        )
+
+    best = tuple(range(count))
+    if count <= 1:
+        return cost, best
+    if count <= 6:
+        best_cost = cost_of(best)
+        for perm in permutations(range(count)):
+            c = cost_of(perm)
+            if c < best_cost:
+                best, best_cost = perm, c
+        return cost, best
+    order = list(best)
+    current = cost_of(order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(count - 1):
+            order[i], order[i + 1] = order[i + 1], order[i]
+            swapped = cost_of(order)
+            if swapped < current:
+                current = swapped
+                improved = True
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return cost, tuple(order)
+
+
+def chains_dag(k: int, length: int, seed: int) -> tuple[DiGraph, PathDecomposition]:
+    """k chains of ``length`` vertices, transitive-heavy, with the chains as paths.
+
+    Each vertex has a skip edge to each of the next 2..6 vertices of its
+    chain with probability 0.4 and one cross edge to a vertex 1..4
+    positions further down another chain. Vertex ids are shuffled.
+    """
+    rng = random.Random(seed)
+    ids = list(range(k * length))
+    rng.shuffle(ids)
+    chains = [ids[c * length : (c + 1) * length] for c in range(k)]
+    edges = set()
+    for c, chain in enumerate(chains):
+        for j, v in enumerate(chain):
+            if j + 1 < length:
+                edges.add((v, chain[j + 1]))
+            for s in range(2, 7):
+                if j + s < length and rng.random() < 0.4:
+                    edges.add((v, chain[j + s]))
+            target = j + rng.randint(1, 4)
+            if k > 1 and target < length:
+                other = rng.randrange(k - 1)
+                other += other >= c
+                edges.add((v, chains[other][target]))
+    g = DiGraph.build(k * length, sorted(edges))
+    return g, PathDecomposition(tuple(tuple(chain) for chain in chains))

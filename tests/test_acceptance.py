@@ -13,6 +13,7 @@ from itertools import product
 from statistics import median
 
 from oracles import (
+    chains_dag,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
     max_overlap_depth,
@@ -191,6 +192,39 @@ def test_criterion_06_scaling_trend():
         6,
         f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
         f"on n=1000..8000 ({elapsed:.1f}s)",
+    )
+
+
+def test_criterion_11_chains_scaling_trend():
+    # The transitive-heavy family: 4 chains whose skip edges all become
+    # bundle members, so transitive bundling and lane reorder carry the
+    # drawing time. The same window as criterion 06 must grow by at most
+    # 3.0 per doubling of the chain length; an all-pairs lane-pair count
+    # grows past it.
+    import gc
+
+    _cache.pop("suite", None)
+    gc.collect()
+    start = time.perf_counter()
+    lengths = (250, 500, 1000, 2000)
+    medians = []
+    for length in lengths:
+        per_seed = []
+        for seed in range(1, 4):
+            g, d = chains_dag(4, length, seed)
+            per_seed.append(min(_timed_drawing_window(g, d) for _ in range(3)))
+            del g, d
+        medians.append(median(per_seed))
+    elapsed = time.perf_counter() - start
+    ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
+    per_doubling = (medians[-1] / medians[0]) ** (1 / (len(lengths) - 1))
+    assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
+    assert elapsed < 30.0
+    pretty = ", ".join(f"{r:.2f}" for r in ratios)
+    _report(
+        11,
+        f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
+        f"on 4 chains of 250..2000 ({elapsed:.1f}s)",
     )
 
 

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from oracles import crossing_pairs_bruteforce, max_overlap_depth
+from oracles import (
+    chains_dag,
+    crossing_pairs_bruteforce,
+    lane_pair_crossings_bruteforce,
+    max_overlap_depth,
+    reorder_lanes_bruteforce,
+)
 from pathdraw import (
     BundleInterval,
     DiGraph,
@@ -19,7 +25,7 @@ from pathdraw import (
     topo_sort,
     transitive_bundles,
 )
-from pathdraw.bundling import LanePacking, stack_crossings
+from pathdraw.bundling import LanePacking, lane_pair_costs, stack_crossings
 
 
 def _compacted(g, d):
@@ -197,3 +203,75 @@ class TestReorder:
         reordered = reorder_lanes(packing)
         assert stack_crossings(reordered.lanes) <= stack_crossings(packing.lanes)
         assert sorted(map(id, reordered.occupants())) == sorted(map(id, packing.occupants()))
+
+
+def _random_packing(rng: random.Random) -> LanePacking:
+    """Up to 12 lanes of short random bundles; spans may be single rows.
+
+    Half the packings come from ``pack_intervals``; the other half put
+    bundles on lanes at random, so intervals in one lane may overlap.
+    """
+    rows = rng.randrange(2, 16)
+    intervals = []
+    for i in range(rng.randrange(1, 25)):
+        spans = []
+        for _ in range(rng.randrange(1, 5)):
+            lo = rng.randrange(0, rows)
+            spans.append((lo, min(rows, lo + rng.randrange(0, 6))))
+        spans.sort()
+        members = tuple((i, 100 + j) for j in range(len(spans)))
+        start = min(lo for lo, _ in spans)
+        finish = max(hi for _, hi in spans)
+        intervals.append(_iv(start, finish, anchor=i, members=members, spans=tuple(spans)))
+    if rng.random() < 0.5:
+        return pack_intervals(intervals)
+    lanes: list[list] = [[] for _ in range(rng.randrange(1, 13))]
+    for iv in intervals:
+        lanes[rng.randrange(len(lanes))].append(iv)
+    return LanePacking(tuple(tuple(lane) for lane in lanes if lane))
+
+
+def _assert_reorder_matches_oracle(packing: LanePacking) -> None:
+    cost, order = reorder_lanes_bruteforce(packing.lanes)
+    assert lane_pair_costs(packing.lanes) == cost
+    assert reorder_lanes(packing).lanes == tuple(packing.lanes[i] for i in order)
+    count = packing.lane_count
+    assert stack_crossings(packing.lanes) == sum(
+        cost[i][j] for i in range(count) for j in range(i + 1, count)
+    )
+
+
+class TestLanePairCostsAgainstOracle:
+    def test_pair_cost_counts_member_pairs(self):
+        nearer = _iv(0, 9, anchor=0, members=((0, 1), (0, 2)), spans=((0, 9), (3, 3)))
+        farther = _iv(
+            0, 9, anchor=1, members=((1, 2), (1, 3), (1, 4)), spans=((2, 4), (4, 4), (0, 9))
+        )
+        expected = [
+            [0, lane_pair_crossings_bruteforce(nearer, farther)],
+            [lane_pair_crossings_bruteforce(farther, nearer), 0],
+        ]
+        assert expected == [[0, 2], [2, 0]]
+        assert lane_pair_costs(((nearer,), (farther,))) == expected
+
+    def test_random_packings(self):
+        rng = random.Random(2022)
+        sizes = set()
+        for _ in range(3000):
+            packing = _random_packing(rng)
+            sizes.add(packing.lane_count)
+            _assert_reorder_matches_oracle(packing)
+        # both the exhaustive search and the hill climb were exercised
+        assert min(sizes) == 1 and max(sizes) >= 10
+
+    def test_every_stack_of_a_chains_graph(self):
+        g, d = chains_dag(6, 120, seed=5)
+        intervals, _ = _bundles(g, d)
+        stacks: dict = {}
+        for iv in intervals:
+            stacks.setdefault((iv.path_index, iv.side), []).append(iv)
+        packings = [pack_intervals(group) for group in stacks.values()]
+        assert len(packings) == 6
+        assert max(p.lane_count for p in packings) > 6
+        for packing in packings:
+            _assert_reorder_matches_oracle(packing)
