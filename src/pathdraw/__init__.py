@@ -7,63 +7,27 @@ on their vertical span. Quality metrics (crossings, bends, width, height,
 area) are computed on the finished integer grid.
 """
 
-from .bench import BenchRow, bench, median_wall_ms, rows_to_csv
-from .bundling import (
-    BundleInterval,
-    LanePacking,
-    pack_intervals,
-    reorder_lanes,
-    transitive_bundles,
-)
+from .bench import bench, median_wall_ms, rows_to_csv
 from .decomposition import (
     DecompositionError,
-    EdgeClassification,
     PathDecomposition,
-    ValidationReport,
     classify_edges,
     min_path_cover,
     parse_decomposition,
     validate_decomposition,
 )
-from .drawing import (
-    Drawing,
-    draw,
-    bundle_transitive,
-    bundle_cross_edges,
-    route_cross_edges,
-)
+from .drawing import draw
 from .generator import generate_random_dag
-from .graph import (
-    CycleRemovalResult,
-    DiGraph,
-    GraphError,
-    TopoOrder,
-    longest_path_ending_at,
-    parse_graph,
-    remove_cycles,
-    serialize_graph,
-    topo_sort,
-)
-from .layout import (
-    Layout,
-    MetricsReport,
-    PropertyViolation,
-    assert_properties,
-    compact,
-    initial_layout,
-    layout_height,
-)
-from .metrics import count_bends, count_crossings, count_vertex_touches, measure
+from .graph import DiGraph, GraphError, parse_graph, remove_cycles, topo_sort
+from .metrics import count_bends, measure
 from .pipeline import (
     ConfigError,
     InvariantError,
     PipelineConfig,
     PipelineResult,
     StageError,
-    run_pipeline,
     run_pipeline_full,
 )
-from .render import metrics_block, render_json, render_svg
-from .routing import CrossBundle, CrossRoute, bends_for_distance
+from .render import render_json, render_svg
 
 __version__ = "0.1.0"

@@ -28,6 +28,15 @@ from .pipeline import (
 from .render import metrics_block, render_json, render_svg
 
 
+def _sizes(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathdraw",
@@ -66,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time the pipeline over generated graphs")
-    p_bench.add_argument("--sizes", default="20,50,100", help="comma-separated vertex counts")
+    p_bench.add_argument(
+        "--sizes", type=_sizes, default="20,50,100", help="comma-separated vertex counts"
+    )
     p_bench.add_argument("--deg", type=float, default=1.6, help="edges per node")
     p_bench.add_argument("--seeds", type=int, default=2, help="seeds per size")
     p_bench.add_argument("--out", metavar="CSV", help="write rows as CSV")
@@ -78,7 +89,6 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         input_path=args.input,
         decomposition_path=args.paths,
-        auto_cover=args.auto_cover,
         compact=not args.no_compact,
         bundle_transitive=not args.no_bundle_transitive,
         bundle_cross=not args.no_bundle_cross,
@@ -116,8 +126,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(part) for part in args.sizes.split(",") if part]
-    rows = bench(sizes, args.deg, args.seeds)
+    rows = bench(args.sizes, args.deg, args.seeds)
     csv_text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

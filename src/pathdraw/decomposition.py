@@ -28,14 +28,6 @@ class PathDecomposition:
     def path_count(self) -> int:
         return len(self.paths)
 
-    def position(self) -> dict[int, tuple[int, int]]:
-        """Map each vertex to (path index, position within path)."""
-        pos: dict[int, tuple[int, int]] = {}
-        for i, path in enumerate(self.paths):
-            for j, v in enumerate(path):
-                pos[v] = (i, j)
-        return pos
-
 
 @dataclass(frozen=True)
 class EdgeClassification:

@@ -22,7 +22,7 @@ from .bundling import (
     transitive_bundles,
     with_lane_indices,
 )
-from .decomposition import EdgeClassification, PathDecomposition, classify_edges
+from .decomposition import PathDecomposition, classify_edges
 from .graph import DiGraph, TopoOrder, topo_sort
 from .layout import (
     COL_CROSS,
@@ -69,8 +69,6 @@ def draw(
     d: PathDecomposition,
     t: TopoOrder | None = None,
     *,
-    classification: EdgeClassification | None = None,
-    rows: dict[int, int] | None = None,
     compact_rows: bool = True,
     bundle_transitive_edges: bool = True,
     bundle_cross_incoming: bool = True,
@@ -78,23 +76,19 @@ def draw(
 ) -> Drawing:
     """Produce the complete drawing for a DAG and decomposition.
 
-    ``rows`` overrides the vertical placement (used when a caller already
-    holds a compacted layout); otherwise rows come from the topological
-    ranks, compacted unless ``compact_rows`` is off. Disabling
+    Rows come from the topological ranks, compacted unless ``compact_rows``
+    is off, in which case each vertex keeps its rank as its row. Disabling
     ``bundle_transitive_edges`` hides transitive edges entirely (empty
     routes, no lanes); disabling ``bundle_cross_incoming`` keeps every cross
     edge on its own lane occupancy.
     """
     if t is None:
         t = topo_sort(g)
-    cls = classification if classification is not None else classify_edges(g, d)
+    cls = classify_edges(g, d)
     n = g.vertex_count
     # dense ids let the hot loops run on lists instead of dicts
     y: list[int] = [0] * n
-    if rows is not None:
-        for v in range(n):
-            y[v] = rows[v]
-    elif compact_rows:
+    if compact_rows:
         # one row above the highest predecessor, visiting in rank order
         order = [0] * n
         for v, r in t.rank.items():
@@ -274,77 +268,3 @@ def draw(
         bundles=tuple(records),
         bundle_of=bundle_of,
     )
-
-
-def _graph_of(layout: Layout) -> DiGraph:
-    return DiGraph.build(len(layout.x), sorted(layout.routes.keys()))
-
-
-def _had_transitive_lanes(layout: Layout) -> bool:
-    return any(
-        tag in (COL_LANE_LEFT, COL_LANE_RIGHT) for tag in layout.column_meta.values()
-    )
-
-
-def bundle_transitive(
-    g: DiGraph,
-    d: PathDecomposition,
-    classification: EdgeClassification,
-    layout: Layout,
-) -> tuple[list[BundleInterval], Layout]:
-    """Bundle all transitive edges of a compacted layout into lane trunks.
-
-    Returns the lane-assigned intervals and a layout whose member routes
-    follow the trunk geometry (two bends per member). Cross edges are routed
-    individually; the cross-bundling pass comes after.
-    """
-    drawing = draw(
-        g,
-        d,
-        classification=classification,
-        rows=layout.y,
-        bundle_transitive_edges=True,
-        bundle_cross_incoming=False,
-        reorder=False,
-    )
-    return list(drawing.transitive_intervals), drawing.layout
-
-
-def route_cross_edges(
-    layout: Layout, classification: EdgeClassification
-) -> list[CrossRoute]:
-    """Route every cross edge with its distance-mandated bend count."""
-    g = _graph_of(layout)
-    d = PathDecomposition(layout.paths)
-    drawing = draw(
-        g,
-        d,
-        classification=classification,
-        rows=layout.y,
-        bundle_transitive_edges=_had_transitive_lanes(layout),
-        bundle_cross_incoming=False,
-        reorder=False,
-    )
-    return list(drawing.cross_routes)
-
-
-def bundle_cross_edges(
-    layout: Layout, routes: list[CrossRoute]
-) -> tuple[list[CrossBundle], list[CrossRoute]]:
-    """Merge qualifying incoming cross edges per target into shared trunks.
-
-    Targets with at most one qualifying edge (vertical distance >= 2) keep
-    the individual route they were given; rerouting is deterministic, so the
-    returned non-member routes agree with the input set.
-    """
-    g = _graph_of(layout)
-    d = PathDecomposition(layout.paths)
-    drawing = draw(
-        g,
-        d,
-        rows=layout.y,
-        bundle_transitive_edges=_had_transitive_lanes(layout),
-        bundle_cross_incoming=True,
-        reorder=False,
-    )
-    return list(drawing.cross_bundles), list(drawing.cross_routes)

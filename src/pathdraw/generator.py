@@ -9,6 +9,7 @@ without replacement, among the forward pairs of that order. Identical
 
 from __future__ import annotations
 
+import math
 import random
 
 from .graph import DiGraph, GraphError
@@ -19,11 +20,14 @@ _ENUMERATE_LIMIT = 200_000
 def generate_random_dag(n: int, avg_degree: float, seed: int) -> DiGraph:
     if n < 1:
         raise GraphError(f"generator needs n >= 1, got {n}")
+    if not (math.isfinite(avg_degree) and avg_degree >= 0):
+        raise GraphError(f"generator needs a finite degree >= 0, got {avg_degree}")
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
     max_edges = n * (n - 1) // 2
-    m = min(round(n * avg_degree), max_edges)
+    # n * avg_degree may overflow to inf; capping first keeps round() finite
+    m = round(min(n * avg_degree, max_edges))
     if max_edges <= _ENUMERATE_LIMIT or 3 * m >= max_edges:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         chosen = rng.sample(pairs, m)

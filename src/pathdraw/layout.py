@@ -1,18 +1,18 @@
-"""Grid placement: the initial column-per-path drawing and vertical compaction.
+"""The finished drawing's value types and its compaction self-check.
 
 Coordinates are integer grid cells. Row 0 is the top of the rendered output
-and every edge runs from a lower to a higher row. The initial drawing puts
-each vertex at the row of its topological rank (height n-1); compaction
-re-rows each vertex one step below its highest predecessor, which brings the
-height down to the longest-path length exactly.
+and every edge runs from a lower to a higher row. ``draw`` places the rows:
+without compaction each vertex sits at the row of its topological rank
+(height n-1); with it each vertex sits one row below its highest
+predecessor, which brings the height down to the longest-path length
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .decomposition import EdgeClassification, PathDecomposition, classify_edges
-from .graph import DiGraph, TopoOrder
+from .graph import DiGraph
 
 Point = tuple[int, int]
 
@@ -60,62 +60,6 @@ class PropertyViolation:
         return f"vertex {v} has no predecessor one row above"
 
 
-def initial_layout(
-    g: DiGraph,
-    d: PathDecomposition,
-    t: TopoOrder,
-    classification: EdgeClassification | None = None,
-) -> Layout:
-    """Place each path on its own column with rows given by topological rank.
-
-    Spine columns are provisional consecutive integers; the bundling passes
-    insert lanes between them and re-index the grid at the end.
-    """
-    if classification is None:
-        classification = classify_edges(g, d)
-    pos = d.position()
-    x = {v: pos[v][0] for v in range(g.vertex_count)}
-    y = dict(t.rank)
-    category: dict[tuple[int, int], str] = {}
-    for e in g.edges:
-        if e in classification.path_edges:
-            category[e] = PATH
-        elif e in classification.transitive_edges:
-            category[e] = TRANSITIVE
-        else:
-            category[e] = CROSS
-    routes = {
-        (u, v): ((x[u], y[u]), (x[v], y[v])) for u, v in g.edges
-    }
-    column_meta = {i: COL_SPINE for i in range(d.path_count)}
-    return Layout(x=x, y=y, routes=routes, category=category, column_meta=column_meta, paths=d.paths)
-
-
-def compact(g: DiGraph, layout: Layout) -> Layout:
-    """Re-row every vertex one step above its highest incoming neighbor.
-
-    Vertices are visited in ascending current-row order (a topological
-    order), sources land on row 0, and the resulting height equals the
-    longest-path length. Columns are untouched. O(n + m).
-    """
-    rows = layout.y
-    # rank rows are a permutation of 0..n-1, so bucketing replaces sorting
-    order: list[int] = [-1] * g.vertex_count
-    for v, r in rows.items():
-        if not (0 <= r < g.vertex_count) or order[r] != -1:
-            order = sorted(range(g.vertex_count), key=lambda v: (rows[v], v))
-            break
-        order[r] = v
-    y: dict[int, int] = {}
-    for v in order:
-        preds = g.predecessors(v)
-        y[v] = max((y[u] + 1 for u in preds), default=0)
-    routes = {
-        (u, v): ((layout.x[u], y[u]), (layout.x[v], y[v])) for u, v in g.edges
-    }
-    return replace(layout, y=y, routes=routes)
-
-
 def assert_properties(g: DiGraph, layout: Layout) -> PropertyViolation | None:
     """Self-check for a compacted layout; None means both properties hold.
 
@@ -135,8 +79,3 @@ def assert_properties(g: DiGraph, layout: Layout) -> PropertyViolation | None:
         if not any(layout.y[u] == layout.y[v] - 1 for u in g.predecessors(v)):
             return PropertyViolation("predecessor-row", (v, layout.y[v]))
     return None
-
-
-def layout_height(layout: Layout) -> int:
-    """Maximum row index in use (0 for an empty or single-row layout)."""
-    return max(layout.y.values(), default=0)

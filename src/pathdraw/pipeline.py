@@ -52,7 +52,6 @@ class PipelineConfig:
     gen_degree: float | None = None
     seed: int | None = None
     decomposition_path: str | None = None
-    auto_cover: bool = False
     compact: bool = True
     bundle_transitive: bool = True
     bundle_cross: bool = True
@@ -65,8 +64,6 @@ class PipelineConfig:
             raise ConfigError("exactly one input source: a file or generator parameters")
         if gen_source and (self.gen_n is None or self.gen_degree is None):
             raise ConfigError("generator input needs both n and degree")
-        if self.decomposition_path is not None and self.auto_cover:
-            raise ConfigError("--paths and --auto-cover are mutually exclusive")
 
 
 @dataclass
@@ -154,9 +151,3 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
         toggles=toggles,
         seed=config.seed,
     )
-
-
-def run_pipeline(config: PipelineConfig) -> tuple[Layout, MetricsReport]:
-    """Run the pipeline and return the finished layout with its metrics."""
-    result = run_pipeline_full(config)
-    return result.layout, result.metrics

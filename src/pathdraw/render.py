@@ -135,15 +135,6 @@ def render_json(
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_layout_json(text: str) -> dict:
-    return json.loads(text)
-
-
-def reserialize_layout_json(doc: dict) -> str:
-    """Dump a parsed document back to its canonical byte form."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def metrics_block(metrics: MetricsReport, extra: dict[str, object] | None = None) -> str:
     """Flat key-value text block, one metric per line."""
     rows = [

@@ -20,20 +20,12 @@ from oracles import (
     min_cover_bruteforce,
     segment_count,
 )
-from pathdraw import (
-    BundleInterval,
-    bends_for_distance,
-    count_crossings,
-    draw,
-    generate_random_dag,
-    longest_path_ending_at,
-    min_path_cover,
-    pack_intervals,
-    remove_cycles,
-    topo_sort,
-)
+from pathdraw import draw, generate_random_dag, min_path_cover, remove_cycles, topo_sort
+from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
-from pathdraw.metrics import orientation
+from pathdraw.graph import longest_path_ending_at
+from pathdraw.metrics import count_crossings, orientation
+from pathdraw.routing import bends_for_distance
 
 SIZES = (20, 50, 100)
 DEGREES = (1.6, 5.6)

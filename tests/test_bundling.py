@@ -12,28 +12,26 @@ from oracles import (
     reorder_lanes_bruteforce,
 )
 from pathdraw import (
-    BundleInterval,
     DiGraph,
     PathDecomposition,
     classify_edges,
-    compact,
+    draw,
     generate_random_dag,
-    initial_layout,
     min_path_cover,
+)
+from pathdraw.bundling import (
+    BundleInterval,
+    LanePacking,
+    lane_pair_costs,
     pack_intervals,
     reorder_lanes,
-    topo_sort,
+    stack_crossings,
     transitive_bundles,
 )
-from pathdraw.bundling import LanePacking, lane_pair_costs, stack_crossings
-
-
-def _compacted(g, d):
-    return compact(g, initial_layout(g, d, topo_sort(g)))
 
 
 def _bundles(g, d):
-    lay = _compacted(g, d)
+    lay = draw(g, d).layout
     return transitive_bundles(g, d, classify_edges(g, d), lay.y), lay
 
 

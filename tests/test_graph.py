@@ -5,16 +5,8 @@ import random
 import pytest
 
 from oracles import longest_ending_at_bruteforce, random_digraph
-from pathdraw import (
-    DiGraph,
-    GraphError,
-    generate_random_dag,
-    longest_path_ending_at,
-    parse_graph,
-    remove_cycles,
-    serialize_graph,
-    topo_sort,
-)
+from pathdraw import DiGraph, GraphError, generate_random_dag, parse_graph, remove_cycles, topo_sort
+from pathdraw.graph import longest_path_ending_at, serialize_graph
 
 
 class TestParse:

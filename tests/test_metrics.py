@@ -7,17 +7,15 @@ import pytest
 from oracles import crossing_pairs_bruteforce, segment_count, vertex_touches_bruteforce
 from pathdraw import (
     DiGraph,
-    Layout,
     PathDecomposition,
     count_bends,
-    count_crossings,
-    count_vertex_touches,
     draw,
     generate_random_dag,
     measure,
     min_path_cover,
 )
-from pathdraw.metrics import segments_properly_cross
+from pathdraw.layout import Layout
+from pathdraw.metrics import count_crossings, count_vertex_touches, segments_properly_cross
 
 
 def _toy_layout(routes, positions=None, categories=None):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +25,14 @@ from pathdraw import (
     render_json,
     render_svg,
     rows_to_csv,
-    run_pipeline,
     run_pipeline_full,
-    serialize_graph,
     topo_sort,
 )
 from pathdraw.cli import main
-from pathdraw.render import SVG_PITCH, reserialize_layout_json
+from pathdraw.graph import serialize_graph
+from pathdraw.render import SVG_PITCH
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestGenerator:
@@ -57,6 +61,8 @@ class TestGenerator:
     def test_edge_count_capped_at_complete_dag(self):
         g = generate_random_dag(4, 10.0, seed=0)
         assert g.edge_count == 6
+        # n * degree overflows to inf; the cap still applies
+        assert generate_random_dag(4, 1e308, seed=0).edge_count == 6
 
     @pytest.mark.parametrize("seed", range(5))
     def test_always_acyclic(self, seed):
@@ -66,33 +72,37 @@ class TestGenerator:
         with pytest.raises(GraphError):
             generate_random_dag(0, 1.6, seed=0)
 
+    @pytest.mark.parametrize("degree", [-1.0, -0.5, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_degree(self, degree):
+        with pytest.raises(GraphError, match="degree"):
+            generate_random_dag(10, degree, seed=0)
+
 
 class TestRunPipeline:
     def test_chain_height_is_longest_path(self, tmp_path):
         g = DiGraph.build(6, [(i, i + 1) for i in range(5)])
         path = tmp_path / "chain.edges"
         path.write_text(serialize_graph(g))
-        layout, metrics = run_pipeline(PipelineConfig(input_path=str(path)))
-        assert metrics.height == 5  # a chain's longest path is n-1
+        result = run_pipeline_full(PipelineConfig(input_path=str(path)))
+        assert result.metrics.height == 5  # a chain's longest path is n-1
 
     def test_diamond_with_given_paths(self, tmp_path, diamond, diamond_paths):
         gfile = tmp_path / "diamond.edges"
         gfile.write_text(serialize_graph(diamond))
         pfile = tmp_path / "diamond.paths"
         pfile.write_text("0 1 3\n2\n")
-        layout, metrics = run_pipeline(
+        result = run_pipeline_full(
             PipelineConfig(input_path=str(gfile), decomposition_path=str(pfile))
         )
-        cats = sorted(layout.category.values())
+        cats = sorted(result.layout.category.values())
         assert cats.count("transitive") == 0
         assert cats.count("cross") == 2
 
     def test_generated_input_completes(self):
-        layout, metrics = run_pipeline(
-            PipelineConfig(gen_n=100, gen_degree=1.6, seed=9)
-        )
+        result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
+        metrics = result.metrics
         assert metrics.area == metrics.width * metrics.height
-        assert len(layout.x) == 100
+        assert len(result.layout.x) == 100
 
     def test_generated_input_json_schema(self):
         result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
@@ -125,24 +135,15 @@ class TestRunPipeline:
 
     def test_conflicting_sources_rejected(self, tmp_path):
         with pytest.raises(StageError, match="config"):
-            run_pipeline(PipelineConfig(input_path="x", gen_n=5, gen_degree=1.0))
+            run_pipeline_full(PipelineConfig(input_path="x", gen_n=5, gen_degree=1.0))
         with pytest.raises(StageError, match="config"):
-            run_pipeline(PipelineConfig())
-
-    def test_paths_and_auto_cover_exclusive(self, tmp_path):
-        gfile = tmp_path / "g.edges"
-        gfile.write_text("2\n0 1\n")
-        with pytest.raises(StageError, match="mutually exclusive"):
-            run_pipeline(
-                PipelineConfig(
-                    input_path=str(gfile), decomposition_path="p", auto_cover=True
-                )
-            )
+            run_pipeline_full(PipelineConfig())
 
     def test_cyclic_input_is_drawn_after_edge_reversal(self, tmp_path):
         cyclic = tmp_path / "cyclic.edges"
         cyclic.write_text("4\n0 1\n1 2\n2 0\n2 3\n3 1\n")
-        layout, metrics = run_pipeline(PipelineConfig(input_path=str(cyclic)))
+        result = run_pipeline_full(PipelineConfig(input_path=str(cyclic)))
+        layout, metrics = result.layout, result.metrics
         assert len(layout.x) == 4
         for (u, v), route in layout.routes.items():
             if route:
@@ -153,11 +154,11 @@ class TestRunPipeline:
         bad = tmp_path / "bad.edges"
         bad.write_text("2\n0 0\n")
         with pytest.raises(StageError, match="stage 'parse'"):
-            run_pipeline(PipelineConfig(input_path=str(bad)))
+            run_pipeline_full(PipelineConfig(input_path=str(bad)))
 
     def test_missing_file_names_stage(self):
         with pytest.raises(StageError, match="stage 'read'"):
-            run_pipeline(PipelineConfig(input_path="/nonexistent/file.edges"))
+            run_pipeline_full(PipelineConfig(input_path="/nonexistent/file.edges"))
 
 
 class TestToggles:
@@ -262,7 +263,7 @@ class TestRenderJson:
             seed=result.seed,
             toggles=result.toggles,
         )
-        assert reserialize_layout_json(json.loads(text)) == text
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
     def test_bundle_ids_are_consistent(self):
         g = generate_random_dag(40, 3.0, seed=10)
@@ -311,6 +312,36 @@ class TestCli:
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["layout", "/does/not/exist"]) == 2
+
+    def test_paths_conflicts_with_autocover_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("2\n0 1\n")
+        paths = tmp_path / "g.paths"
+        paths.write_text("0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["layout", str(edges), "--paths", str(paths), "--auto-cover"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", ["-1", "nan"])
+    def test_gen_bad_degree_exits_2(self, tmp_path, capsys, degree):
+        out = tmp_path / "g.edges"
+        argv = ["gen", "--n", "10", "--deg", degree, "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "degree" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_bad_degree_exits_2(self, capsys):
+        assert main(["bench", "--sizes", "5", "--deg", "-1"]) == 2
+        assert "stage 'generate'" in capsys.readouterr().err
+
+    def test_bench_bad_sizes_exits_2_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--sizes" in err
 
     def test_invalid_decomposition_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
@@ -417,3 +448,14 @@ class TestBench:
         rows = bench([10, 20], 1.6, seeds=3)
         medians = median_wall_ms(rows)
         assert set(medians) == {10, 20}
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Library quick start") :]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, str(README), "exec"), {})
+        assert (tmp_path / "drawing.svg").read_text().startswith("<?xml")
+        assert "crossings" in capsys.readouterr().out

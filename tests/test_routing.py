@@ -4,20 +4,8 @@ import random
 
 import pytest
 
-from pathdraw import (
-    DiGraph,
-    PathDecomposition,
-    bends_for_distance,
-    bundle_cross_edges,
-    bundle_transitive,
-    classify_edges,
-    compact,
-    count_bends,
-    draw,
-    initial_layout,
-    route_cross_edges,
-    topo_sort,
-)
+from pathdraw import DiGraph, PathDecomposition, classify_edges, count_bends, draw
+from pathdraw.routing import bends_for_distance
 
 
 def _two_path_graph():
@@ -49,8 +37,7 @@ def test_bend_rule(distance, expected):
 class TestCrossRoutes:
     def test_bends_match_distances(self):
         g, d = _two_path_graph()
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
-        routes = route_cross_edges(lay, classify_edges(g, d))
+        routes = draw(g, d, bundle_cross_incoming=False).cross_routes
         by_edge = {r.edge: r for r in routes}
         assert set(by_edge) == {(6, 1), (6, 2), (6, 5)}
         assert by_edge[(6, 1)].bends == 0
@@ -75,8 +62,7 @@ class TestCrossRoutes:
 
     def test_lane_assigned_only_when_needed(self):
         g, d = _two_path_graph()
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
-        by_edge = {r.edge: r for r in route_cross_edges(lay, classify_edges(g, d))}
+        by_edge = {r.edge: r for r in draw(g, d, bundle_cross_incoming=False).cross_routes}
         assert by_edge[(6, 1)].lane is None
         assert by_edge[(6, 2)].lane is not None
         assert by_edge[(6, 5)].lane is not None
@@ -92,9 +78,9 @@ class TestCrossRoutes:
 class TestCrossBundles:
     def test_fan_in_bundles_three_members(self):
         g, d = _fan_in_graph()
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
-        routes = route_cross_edges(lay, classify_edges(g, d))
-        bundles, rerouted = bundle_cross_edges(lay, routes)
+        drawing = draw(g, d)
+        lay = drawing.layout
+        bundles, rerouted = drawing.cross_bundles, drawing.cross_routes
         assert len(bundles) == 1
         bundle = bundles[0]
         assert bundle.target == 5
@@ -122,14 +108,12 @@ class TestCrossBundles:
         edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 3), (6, 3)]
         g = DiGraph.build(7, edges)
         d = PathDecomposition(((0, 1, 2, 3), (4, 5, 6)))
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
+        drawing = draw(g, d)
+        lay = drawing.layout
         assert lay.y[3] - lay.y[4] == 3
         assert lay.y[3] - lay.y[6] == 1
-        bundles, rerouted = bundle_cross_edges(
-            lay, route_cross_edges(lay, classify_edges(g, d))
-        )
-        assert bundles == []
-        by_edge = {r.edge: r for r in rerouted}
+        assert drawing.cross_bundles == ()
+        by_edge = {r.edge: r for r in drawing.cross_routes}
         assert by_edge[(4, 3)].bends == 2
         assert by_edge[(6, 3)].bends == 0
 
@@ -183,8 +167,8 @@ class TestTransitiveWrapper:
     def test_member_routes_have_two_bends(self):
         g = DiGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)])
         d = PathDecomposition(((0, 1, 2, 3),))
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
-        intervals, updated = bundle_transitive(g, d, classify_edges(g, d), lay)
+        drawing = draw(g, d, reorder=False)
+        intervals, updated = drawing.transitive_intervals, drawing.layout
         assert len(intervals) == 1
         for e in intervals[0].members:
             route = updated.routes[e]
@@ -193,9 +177,8 @@ class TestTransitiveWrapper:
 
     def test_every_transitive_edge_bundled_once(self):
         g, d = _two_bundle_graph()
-        lay = compact(g, initial_layout(g, d, topo_sort(g)))
         cls = classify_edges(g, d)
-        intervals, _ = bundle_transitive(g, d, cls, lay)
+        intervals = draw(g, d, reorder=False).transitive_intervals
         members = [e for iv in intervals for e in iv.members]
         assert sorted(members) == sorted(cls.transitive_edges)
         assert len(members) == len(set(members))
@@ -208,20 +191,6 @@ def _two_bundle_graph():
 
 
 class TestWrapperConsistency:
-    def test_staged_ops_agree_with_single_pass(self):
-        from pathdraw import generate_random_dag, min_path_cover
-
-        g = generate_random_dag(35, 2.4, seed=21)
-        d = min_path_cover(g)
-        cls = classify_edges(g, d)
-        lay = compact(g, initial_layout(g, d, topo_sort(g), cls))
-        _, after_transitive = bundle_transitive(g, d, cls, lay)
-        routes = route_cross_edges(after_transitive, cls)
-        bundles, final_routes = bundle_cross_edges(after_transitive, routes)
-        reference = draw(g, d, reorder=False)
-        assert tuple(final_routes) == reference.cross_routes
-        assert tuple(bundles) == reference.cross_bundles
-
     def test_draw_is_deterministic(self):
         from pathdraw import generate_random_dag, min_path_cover
 
