@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappush, heappop
 from itertools import permutations
+from operator import attrgetter
 
 from .decomposition import EdgeClassification, PathDecomposition
 from .graph import DiGraph
@@ -137,12 +138,11 @@ def pack_intervals(intervals) -> LanePacking:
     sharing even one row is a conflict. The lane count equals the maximum
     number of intervals covering any single row.
     """
-    ordered = sorted(
-        enumerate(intervals), key=lambda t: (t[1].start_row, t[1].finish_row, t[0])
-    )
+    # the sort is stable, so ties keep their input order
+    ordered = sorted(intervals, key=attrgetter("start_row", "finish_row"))
     lanes: list[list] = []
     last_finish: list[int] = []
-    for _, iv in ordered:
+    for iv in ordered:
         for li in range(len(lanes)):
             if iv.start_row > last_finish[li]:
                 lanes[li].append(iv)
@@ -151,7 +151,7 @@ def pack_intervals(intervals) -> LanePacking:
         else:
             lanes.append([iv])
             last_finish.append(iv.finish_row)
-    return LanePacking(tuple(tuple(lane) for lane in lanes))
+    return LanePacking(tuple(map(tuple, lanes)))
 
 
 def _crossings(nearer_spans, farther) -> int:

@@ -96,15 +96,16 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = run_pipeline_full(config)
+    layout = result.drawing.layout
     # result.metrics is computed on first read, so --svg alone never pays for it
     if args.svg:
-        svg = run_stage("render", render_svg, result.layout)
+        svg = run_stage("render", render_svg, layout)
         Path(args.svg).write_text(svg, encoding="utf-8")
     if args.json:
         doc = run_stage(
             "render",
             render_json,
-            result.layout,
+            layout,
             result.metrics,
             bundles=result.drawing.bundles,
             bundle_of=result.drawing.bundle_of,
@@ -114,7 +115,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         )
         Path(args.json).write_text(doc, encoding="utf-8")
     if args.metrics:
-        extra = {"vertex_touches": run_stage("metrics", count_vertex_touches, result.layout)}
+        extra = {"vertex_touches": run_stage("metrics", count_vertex_touches, layout)}
         sys.stdout.write(metrics_block(result.metrics, extra))
     return 0
 

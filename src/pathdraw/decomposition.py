@@ -104,13 +104,14 @@ def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     path_edges: set[tuple[int, int]] = set()
     transitive: set[tuple[int, int]] = set()
     cross: set[tuple[int, int]] = set()
-    for u, v in g.edges:
+    for e in g.edges:
+        u, v = e
         if path_idx[u] != path_idx[v]:
-            cross.add((u, v))
+            cross.add(e)
         elif order_idx[v] == order_idx[u] + 1:
-            path_edges.add((u, v))
+            path_edges.add(e)
         else:
-            transitive.add((u, v))
+            transitive.add(e)
     return EdgeClassification(frozenset(path_edges), frozenset(transitive), frozenset(cross))
 
 
@@ -216,8 +217,9 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
 def parse_decomposition(text: str, g: DiGraph) -> PathDecomposition:
     """Parse a path-list document and validate it against g.
 
-    One path per line, vertex ids separated by single spaces; ``#`` starts a
-    comment. Path order in the file is the column order of the drawing.
+    One path per line, vertex ids (ASCII decimal) separated by single
+    spaces; ``#`` starts a comment. Path order in the file is the column
+    order of the drawing.
     """
     paths: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -225,7 +227,8 @@ def parse_decomposition(text: str, g: DiGraph) -> PathDecomposition:
         if not line or line.startswith("#"):
             continue
         parts = line.split(" ")
-        if not all(p.isdigit() for p in parts):
+        # str.isdigit also accepts non-ASCII digits such as '²'; isascii rules them out
+        if not (line.isascii() and all(p.isdigit() for p in parts)):
             raise DecompositionError(f"line {lineno}: expected vertex ids, got {line!r}")
         paths.append(tuple(int(p) for p in parts))
     d = PathDecomposition(tuple(paths))

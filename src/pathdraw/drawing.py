@@ -35,13 +35,7 @@ from .layout import (
     Layout,
     Point,
 )
-from .routing import (
-    BUNDLE,
-    CrossBundle,
-    CrossRoute,
-    bends_for_distance,
-    gap_occupants,
-)
+from .routing import BUNDLE, CrossBundle, CrossRoute, gap_occupants
 
 
 @dataclass(frozen=True)
@@ -119,40 +113,54 @@ def draw(
                 packing = reorder_lanes(packing)
             trans_packings[key] = packing
 
+    # one sort serves the occupant grouping and the route loop below
+    edges = sorted(g.edges)
+    cross_set = cls.cross_edges
     cross_packings: dict[int, LanePacking] = {}
     for gap, occupants in sorted(
-        gap_occupants(y, path_of, cls.cross_edges, bundle_cross_incoming).items()
+        gap_occupants(
+            y, path_of, [e for e in edges if e in cross_set], bundle_cross_incoming
+        ).items()
     ):
         cross_packings[gap] = pack_intervals(occupants)
 
-    # Dense column grid, left to right.
-    spine_x: dict[int, int] = {}
-    trans_lane_x: dict[tuple[int, str, int], int] = {}
-    cross_lane_x: dict[tuple[int, int], int] = {}
+    # Dense column grid, left to right. Lanes are numbered outward from
+    # their spine: lane li of a gap or left stack sits li columns left of the
+    # lane beside the spine, lane li of the right stack li columns right.
+    spine_x: list[int] = [0] * k
+    trans_lane_end: dict[tuple[int, str], int] = {}
     column_meta: dict[int, str] = {}
+    cross_edge_lane: dict[tuple[int, int], int] = {}
+    cross_bundles: list[CrossBundle] = []
     col = 0
     for i in range(k):
         cp = cross_packings.get(i)
         if cp is not None:
-            for li in range(cp.lane_count - 1, -1, -1):
-                cross_lane_x[(i, li)] = col
-                column_meta[col] = COL_CROSS
-                col += 1
+            for c in range(col, col + cp.lane_count):
+                column_meta[c] = COL_CROSS
+            col += cp.lane_count
+            for li, lane_items in enumerate(cp.lanes):
+                lx = col - 1 - li
+                for occ in lane_items:
+                    for e in occ.members:
+                        cross_edge_lane[e] = lx
+                    if occ.kind == BUNDLE:
+                        trunk = (lx, (occ.start_row, occ.finish_row))
+                        cross_bundles.append(CrossBundle(occ.target, occ.members, trunk))
         tp = trans_packings.get((i, LEFT))
         if tp is not None:
-            for li in range(tp.lane_count - 1, -1, -1):
-                trans_lane_x[(i, LEFT, li)] = col
-                column_meta[col] = COL_LANE_LEFT
-                col += 1
+            for c in range(col, col + tp.lane_count):
+                column_meta[c] = COL_LANE_LEFT
+            col += tp.lane_count
+            trans_lane_end[(i, LEFT)] = col - 1
         spine_x[i] = col
         column_meta[col] = COL_SPINE
         col += 1
     tp = trans_packings.get((k - 1, RIGHT)) if k else None
     if tp is not None:
-        for li in range(tp.lane_count):
-            trans_lane_x[(k - 1, RIGHT, li)] = col
-            column_meta[col] = COL_LANE_RIGHT
-            col += 1
+        trans_lane_end[(k - 1, RIGHT)] = col
+        for c in range(col, col + tp.lane_count):
+            column_meta[c] = COL_LANE_RIGHT
 
     x: list[int] = [0] * n
     for pi, path in enumerate(d.paths):
@@ -160,97 +168,67 @@ def draw(
         for v in path:
             x[v] = sx
 
+    # trans_packings is keyed in column order and each packing lists its
+    # intervals lane by lane, in start-row order (a lane's intervals are
+    # disjoint), so the records come out ordered by (path, side, lane, row)
     member_lane: dict[tuple[int, int], int] = {}
     lane_assigned: list[BundleInterval] = []
+    records: list[BundleRecord] = []
+    bundle_of: dict[tuple[int, int], int] = {}
     for (pi, side), packing in sorted(trans_packings.items()):
+        end = trans_lane_end[(pi, side)]
+        step = 1 if side == RIGHT else -1
         for iv in with_lane_indices(packing):
+            lx = end + step * iv.lane
+            rid = len(records)
             lane_assigned.append(iv)
-            lx = trans_lane_x[(pi, side, iv.lane)]
+            records.append(
+                BundleRecord(
+                    rid, "transitive", iv.anchor, lx, (iv.start_row, iv.finish_row), iv.members
+                )
+            )
             for e in iv.members:
                 member_lane[e] = lx
+                bundle_of[e] = rid
+    for cb in sorted(cross_bundles, key=lambda b: b.target):
+        rid = len(records)
+        records.append(BundleRecord(rid, "cross", cb.target, cb.trunk[0], cb.trunk[1], cb.members))
+        for e in cb.members:
+            bundle_of[e] = rid
 
-    cross_edge_lane: dict[tuple[int, int], int] = {}
-    cross_bundles: list[CrossBundle] = []
-    for gap, packing in sorted(cross_packings.items()):
-        for li, lane_items in enumerate(packing.lanes):
-            lx = cross_lane_x[(gap, li)]
-            for occ in lane_items:
-                for e in occ.members:
-                    cross_edge_lane[e] = lx
-                if occ.kind == BUNDLE:
-                    cross_bundles.append(
-                        CrossBundle(
-                            target=occ.target,
-                            members=occ.members,
-                            trunk=(lx, (occ.start_row, occ.finish_row)),
-                        )
-                    )
-
-    position: list[Point] = [(x[v], y[v]) for v in range(n)]
+    position: list[Point] = list(zip(x, y))
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
     category: dict[tuple[int, int], str] = {}
     cross_routes: list[CrossRoute] = []
-    for u, v in sorted(g.edges):
-        e = (u, v)
-        if e in cls.path_edges:
+    path_set = cls.path_edges
+    for e in edges:
+        u, v = e
+        if e in path_set:
             category[e] = PATH
             routes[e] = (position[u], position[v])
-        elif e in cls.transitive_edges:
+        elif e in cross_set:
+            category[e] = CROSS
+            # one bend per point between the endpoints
+            dy = y[v] - y[u]
+            if dy == 1:
+                poly: tuple[Point, ...] = (position[u], position[v])
+                cross_routes.append(CrossRoute(e, 0, poly, None))
+            else:
+                lane = cross_edge_lane[e]
+                if dy == 2:
+                    poly = (position[u], (lane, y[u]), position[v])
+                    cross_routes.append(CrossRoute(e, 1, poly, lane))
+                else:
+                    poly = (position[u], (lane, y[u]), (lane, y[v]), position[v])
+                    cross_routes.append(CrossRoute(e, 2, poly, lane))
+            routes[e] = poly
+        else:
             category[e] = TRANSITIVE
             if bundle_transitive_edges:
                 lx = member_lane[e]
                 routes[e] = (position[u], (lx, y[u]), (lx, y[v]), position[v])
             else:
                 routes[e] = ()
-        else:
-            category[e] = CROSS
-            dy = y[v] - y[u]
-            bends = bends_for_distance(dy)
-            if dy == 1:
-                poly: tuple[Point, ...] = (position[u], position[v])
-                lane = None
-            elif dy == 2:
-                lane = cross_edge_lane[e]
-                poly = (position[u], (lane, y[u]), position[v])
-            else:
-                lane = cross_edge_lane[e]
-                poly = (position[u], (lane, y[u]), (lane, y[v]), position[v])
-            routes[e] = poly
-            cross_routes.append(CrossRoute(edge=e, bends=bends, polyline=poly, lane=lane))
-
-    records: list[BundleRecord] = []
-    bundle_of: dict[tuple[int, int], int] = {}
-    for iv in sorted(
-        lane_assigned,
-        key=lambda iv: (iv.path_index, iv.side, iv.lane, iv.start_row, iv.anchor),
-    ):
-        rid = len(records)
-        records.append(
-            BundleRecord(
-                id=rid,
-                kind="transitive",
-                anchor_or_target=iv.anchor,
-                lane=trans_lane_x[(iv.path_index, iv.side, iv.lane)],
-                span=(iv.start_row, iv.finish_row),
-                members=iv.members,
-            )
-        )
-        for e in iv.members:
-            bundle_of[e] = rid
-    for cb in sorted(cross_bundles, key=lambda b: b.target):
-        rid = len(records)
-        records.append(
-            BundleRecord(
-                id=rid,
-                kind="cross",
-                anchor_or_target=cb.target,
-                lane=cb.trunk[0],
-                span=cb.trunk[1],
-                members=cb.members,
-            )
-        )
-        for e in cb.members:
-            bundle_of[e] = rid
 
     final = Layout(
         x=dict(enumerate(x)),

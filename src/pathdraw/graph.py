@@ -49,17 +49,7 @@ class DiGraph:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             clean.append((u, v))
-        succ: list[list[int]] = [[] for _ in range(vertex_count)]
-        pred: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in clean:
-            succ[u].append(v)
-            pred[v].append(u)
-        return cls(
-            vertex_count,
-            tuple(clean),
-            tuple(tuple(sorted(s)) for s in succ),
-            tuple(tuple(sorted(p)) for p in pred),
-        )
+        return cls(vertex_count, tuple(clean), *_adjacency(vertex_count, clean))
 
     @property
     def edge_count(self) -> int:
@@ -73,6 +63,22 @@ class DiGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._succ[u]
+
+
+def _adjacency(
+    vertex_count: int, edges
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Sorted successor and predecessor tuples of a duplicate-free edge list.
+
+    One sort of the edges by (u, v) fills every successor list in ascending
+    order, and every predecessor list too, since sources arrive ascending.
+    """
+    succ: list[list[int]] = [[] for _ in range(vertex_count)]
+    pred: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in sorted(edges):
+        succ[u].append(v)
+        pred[v].append(u)
+    return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,15 @@ def parse_graph(text: str) -> DiGraph:
         if not line or line.startswith("#"):
             continue
         if vertex_count is None:
-            if not line.isdigit():
+            if not (line.isdigit() and line.isascii()):
                 raise GraphError(f"line {lineno}: expected vertex count, got {line!r}")
             vertex_count = int(line)
             continue
-        parts = line.split(" ")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # str.isdigit also accepts non-ASCII digits such as '²'; isascii rules them out
+        u, _, v = line.partition(" ")
+        if not (u.isdigit() and v.isdigit() and line.isascii()):
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((int(u), int(v)))
     if vertex_count is None:
         raise GraphError("empty document: missing vertex count")
     try:
@@ -135,32 +142,47 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
     depth would be a vertex-count liability.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    state = [WHITE] * g.vertex_count
+    n = g.vertex_count
+    succ = g._succ
+    state = [WHITE] * n
+    # next successor index per vertex, so the stack holds bare vertices
+    next_index = [0] * n
     back: set[tuple[int, int]] = set()
-    for root in range(g.vertex_count):
+    for root in range(n):
         if state[root] != WHITE:
             continue
-        # stack holds (vertex, index into its successor tuple)
-        stack: list[tuple[int, int]] = [(root, 0)]
+        stack = [root]
         state[root] = GRAY
         while stack:
-            v, i = stack[-1]
-            succ = g.successors(v)
-            if i < len(succ):
-                stack[-1] = (v, i + 1)
-                w = succ[i]
+            v = stack[-1]
+            out = succ[v]
+            i = next_index[v]
+            while i < len(out):
+                w = out[i]
+                i += 1
+                if state[w] == WHITE:
+                    next_index[v] = i
+                    state[w] = GRAY
+                    stack.append(w)
+                    break
                 if state[w] == GRAY:
                     back.add((v, w))
-                elif state[w] == WHITE:
-                    state[w] = GRAY
-                    stack.append((w, 0))
             else:
                 state[v] = BLACK
                 stack.pop()
     if not back:
         return CycleRemovalResult(g, frozenset())
-    flipped = [(v, u) if (u, v) in back else (u, v) for u, v in g.edges]
-    dag = DiGraph.build(g.vertex_count, flipped, dedupe=True)
+    # a flipped edge that meets its reverse from a 2-cycle merges with it;
+    # g was validated, so only this dedupe is left of DiGraph.build's checks
+    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    for e in g.edges:
+        if e in back:
+            e = (e[1], e[0])
+        if e not in seen:
+            seen.add(e)
+            edges.append(e)
+    dag = DiGraph(n, tuple(edges), *_adjacency(n, edges))
     return CycleRemovalResult(dag, frozenset(back))
 
 
@@ -169,9 +191,7 @@ def topo_sort(g: DiGraph) -> TopoOrder:
 
     Raises GraphError naming a vertex on a cycle if the graph is cyclic.
     """
-    indeg = [0] * g.vertex_count
-    for _, v in g.edges:
-        indeg[v] += 1
+    indeg = list(map(len, g._pred))
     heap: list[int] = [v for v in range(g.vertex_count) if indeg[v] == 0]
     heapify(heap)
     rank: dict[int, int] = {}

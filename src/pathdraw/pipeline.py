@@ -26,7 +26,7 @@ from .decomposition import (
 from .drawing import Drawing, draw
 from .generator import generate_random_dag
 from .graph import DiGraph, parse_graph, remove_cycles, topo_sort
-from .layout import Layout, MetricsReport, assert_properties
+from .layout import MetricsReport, assert_properties
 from .metrics import measure
 
 
@@ -68,7 +68,6 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    layout: Layout
     drawing: Drawing
     graph: DiGraph
     decomposition: PathDecomposition
@@ -79,7 +78,7 @@ class PipelineResult:
     @cached_property
     def metrics(self) -> MetricsReport:
         """Quality metrics of the layout, computed on first access."""
-        return run_stage("metrics", measure, self.layout)
+        return run_stage("metrics", measure, self.drawing.layout)
 
 
 def run_stage(name: str, fn, *args, **kwargs):
@@ -143,7 +142,6 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
         "reorder": config.reorder,
     }
     return PipelineResult(
-        layout=drawing.layout,
         drawing=drawing,
         graph=dag,
         decomposition=d,

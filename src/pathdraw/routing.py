@@ -10,6 +10,7 @@ the target's path.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,43 +66,36 @@ def gap_occupants(
     occupant spanning from the lowest source row to the target row; a lone
     qualifying edge keeps an individual occupant, spanning its own rows at
     distance three or more and only its corner row at distance two.
+    ``cross_edges`` are (u, v) tuples in any order; already sorted ones cost
+    the least, since they are sorted again for a deterministic result.
     """
-    by_target: dict[int, list[tuple[int, int]]] = {}
-    singles: list[tuple[int, int]] = []
-    for u, v in sorted(cross_edges):
-        if abs(rows[v] - rows[u]) < 2:
-            continue
-        if bundle_incoming:
-            by_target.setdefault(v, []).append((u, v))
-        else:
-            singles.append((u, v))
-    occupants: dict[int, list[GapOccupant]] = {}
-    for v in sorted(by_target):
-        edges = by_target[v]
-        if len(edges) >= 2:
-            spans = [rows[u] for u, _ in edges] + [rows[v]]
-            occ = GapOccupant(
-                kind=BUNDLE,
-                start_row=min(spans),
-                finish_row=max(spans),
-                target=v,
-                members=tuple(edges),
-            )
-            occupants.setdefault(path_of[v], []).append(occ)
-        else:
-            singles.extend(edges)
-    for u, v in sorted(singles):
-        lo, hi = sorted((rows[u], rows[v]))
+    qualifying = [e for e in sorted(cross_edges) if not -2 < rows[e[1]] - rows[e[0]] < 2]
+    occupants: defaultdict[int, list[GapOccupant]] = defaultdict(list)
+    singles = qualifying
+    if bundle_incoming:
+        by_target: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for e in qualifying:
+            by_target[e[1]].append(e)
+        for v in sorted(by_target):
+            edges = by_target[v]
+            if len(edges) < 2:
+                continue
+            lo = hi = rows[v]
+            for u, _ in edges:
+                row = rows[u]
+                if row < lo:
+                    lo = row
+                elif row > hi:
+                    hi = row
+            occupants[path_of[v]].append(GapOccupant(BUNDLE, lo, hi, v, tuple(edges)))
+        # a filter of the sorted list stays sorted
+        singles = [e for e in qualifying if len(by_target[e[1]]) < 2]
+    for e in singles:
+        u, v = e
+        lo, hi = rows[u], rows[v]
+        if lo > hi:
+            lo, hi = hi, lo
         if hi - lo == 2:
-            span = (lo, lo)  # only the corner row occupies the lane
-        else:
-            span = (lo, hi)
-        occ = GapOccupant(
-            kind=SINGLE,
-            start_row=span[0],
-            finish_row=span[1],
-            target=v,
-            members=((u, v),),
-        )
-        occupants.setdefault(path_of[v], []).append(occ)
-    return occupants
+            hi = lo  # only the corner row occupies the lane
+        occupants[path_of[v]].append(GapOccupant(SINGLE, lo, hi, v, (e,)))
+    return dict(occupants)

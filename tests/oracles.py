@@ -254,3 +254,165 @@ def chains_dag(k: int, length: int, seed: int) -> tuple[DiGraph, PathDecompositi
                 edges.add((v, chains[other][target]))
     g = DiGraph.build(k * length, sorted(edges))
     return g, PathDecomposition(tuple(tuple(chain) for chain in chains))
+
+
+# Earlier forms of rewritten hot loops. The library's versions avoid
+# per-edge temporaries; these keep the plain form, one step per edge, and
+# must give equal results.
+
+
+def adjacency_reference(vertex_count: int, edges) -> tuple[tuple, tuple]:
+    """Successor and predecessor tuples, each vertex's list sorted on its own."""
+    succ: list[list[int]] = [[] for _ in range(vertex_count)]
+    pred: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    return tuple(tuple(sorted(s)) for s in succ), tuple(tuple(sorted(p)) for p in pred)
+
+
+def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]:
+    """Back edges of a DFS with (vertex, index) frames, then flip and dedupe.
+
+    Returns the DAG's edges, its successor and predecessor tuples and the
+    reversed set, as the cycle removal that rebuilt the graph through
+    ``DiGraph.build(..., dedupe=True)`` produced them.
+    """
+    n = g.vertex_count
+    succ, _ = adjacency_reference(n, g.edges)
+    state = [0] * n  # 0 white, 1 gray, 2 black
+    back: set[tuple[int, int]] = set()
+    for root in range(n):
+        if state[root]:
+            continue
+        stack = [(root, 0)]
+        state[root] = 1
+        while stack:
+            v, i = stack[-1]
+            if i < len(succ[v]):
+                stack[-1] = (v, i + 1)
+                w = succ[v][i]
+                if state[w] == 1:
+                    back.add((v, w))
+                elif state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, 0))
+            else:
+                state[v] = 2
+                stack.pop()
+    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        e = (v, u) if (u, v) in back else (u, v)
+        if e not in seen:
+            seen.add(e)
+            edges.append(e)
+    return (tuple(edges), *adjacency_reference(n, edges), frozenset(back))
+
+
+def gap_occupants_reference(rows, path_of, cross_edges, bundle_incoming: bool) -> dict:
+    """Per-gap occupants as (kind, start_row, finish_row, target, members)."""
+    by_target: dict[int, list[tuple[int, int]]] = {}
+    singles: list[tuple[int, int]] = []
+    for u, v in sorted(cross_edges):
+        if abs(rows[v] - rows[u]) < 2:
+            continue
+        if bundle_incoming:
+            by_target.setdefault(v, []).append((u, v))
+        else:
+            singles.append((u, v))
+    occupants: dict[int, list[tuple]] = {}
+    for v in sorted(by_target):
+        edges = by_target[v]
+        if len(edges) >= 2:
+            spans = [rows[u] for u, _ in edges] + [rows[v]]
+            occupants.setdefault(path_of[v], []).append(
+                ("bundle", min(spans), max(spans), v, tuple(edges))
+            )
+        else:
+            singles.extend(edges)
+    for u, v in sorted(singles):
+        lo, hi = sorted((rows[u], rows[v]))
+        span = (lo, lo) if hi - lo == 2 else (lo, hi)
+        occupants.setdefault(path_of[v], []).append(("edge", span[0], span[1], v, ((u, v),)))
+    return occupants
+
+
+_SVG_STYLE = """\
+    polyline { fill: none; stroke-width: 2; }
+    .path-edge { stroke: #d62728; }
+    .transitive-edge { stroke: #1f77b4; }
+    .cross-edge { stroke: #7f7f7f; }
+    circle { fill: #222222; }"""
+
+_SVG_CLASS = {"path": "path-edge", "transitive": "transitive-edge", "cross": "cross-edge"}
+
+
+def render_svg_reference(layout, pitch: int = 24) -> str:
+    """SVG text with every coordinate formatted where it is written."""
+
+    def px(grid: int) -> int:
+        return (grid + 1) * pitch
+
+    points = [p for r in layout.routes.values() for p in r]
+    max_x = max([x for x in layout.x.values()] + [p[0] for p in points], default=0)
+    max_y = max([y for y in layout.y.values()] + [p[1] for p in points], default=0)
+    width, height = px(max_x + 1), px(max_y + 1)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        "  <style>",
+        _SVG_STYLE,
+        "  </style>",
+        '  <g class="edges">',
+    ]
+    for (u, v), route in sorted(layout.routes.items()):
+        if len(route) < 2:
+            continue
+        points = " ".join(f"{px(x)},{px(y)}" for x, y in route)
+        cls = _SVG_CLASS[layout.category[(u, v)]]
+        lines.append(
+            f'    <polyline class="{cls}" points="{points}"><title>{u}-{v}</title></polyline>'
+        )
+    lines.append("  </g>")
+    lines.append('  <g class="vertices">')
+    for v in sorted(layout.x):
+        cx, cy = px(layout.x[v]), px(layout.y[v])
+        lines.append(f'    <circle cx="{cx}" cy="{cy}" r="6"><title>{v}</title></circle>')
+    lines.append("  </g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def uniform_dag_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """m distinct edges u < v of a seeded uniform random DAG, sorted."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < min(m, n * (n - 1) // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def cyclic_digraph_edges(
+    n: int, m: int, seed: int, twin_frac: float = 0.2
+) -> list[tuple[int, int]]:
+    """A seeded random digraph with cycles and 2-cycles, edges in shuffled order.
+
+    About ``twin_frac`` of the edges also get their reverse, so cycle
+    removal meets 2-cycles, where a flipped edge merges with its twin.
+    """
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        edges.add((u, v))
+        if rng.random() < twin_frac:
+            edges.add((v, u))
+    out = sorted(edges)
+    rng.shuffle(out)
+    return out

@@ -134,6 +134,11 @@ class TestParseDecomposition:
         with pytest.raises(DecompositionError, match="expected vertex ids"):
             parse_decomposition("0 1 x", chain3)
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])
+    def test_non_ascii_digit_rejected_with_line(self, chain3, token):
+        with pytest.raises(DecompositionError, match=r"line 2: expected vertex ids"):
+            parse_decomposition(f"# cover\n0 1 {token}\n", chain3)
+
     def test_order_preserved(self, diamond):
         d = parse_decomposition("2\n0 1 3", diamond)
         assert d.paths == ((2,), (0, 1, 3))

@@ -31,6 +31,19 @@ class TestParse:
         with pytest.raises(GraphError, match="expected 'u v'"):
             parse_graph("3\n0 1 2")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661", "\u0967", "1\u00b2"])
+    def test_non_ascii_digit_in_edge_rejected_with_line(self, token):
+        # str.isdigit accepts these; int() rejects some and silently reads others
+        with pytest.raises(GraphError, match=r"line 3: expected 'u v'"):
+            parse_graph(f"3\n0 1\n0 {token}\n")
+        with pytest.raises(GraphError, match=r"line 2: expected 'u v'"):
+            parse_graph(f"3\n{token} 0\n")
+
+    @pytest.mark.parametrize("token", ["\u00b3", "\u0663"])
+    def test_non_ascii_vertex_count_rejected_with_line(self, token):
+        with pytest.raises(GraphError, match=r"line 2: expected vertex count"):
+            parse_graph(f"# count\n{token}\n0 1\n")
+
     def test_comments_and_blanks_ignored(self):
         g = parse_graph("# a comment\n\n3\n# another\n0 1\n\n1 2\n")
         assert g.edges == ((0, 1), (1, 2))

@@ -269,7 +269,7 @@ class TestMeasure:
         result = run_pipeline_full(PipelineConfig(gen_n=20, gen_degree=1.55, seed=1))
         doc = json.loads(
             render_json(
-                result.layout,
+                result.drawing.layout,
                 result.metrics,
                 bundles=result.drawing.bundles,
                 bundle_of=result.drawing.bundle_of,

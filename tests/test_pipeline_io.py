@@ -94,7 +94,7 @@ class TestRunPipeline:
         result = run_pipeline_full(
             PipelineConfig(input_path=str(gfile), decomposition_path=str(pfile))
         )
-        cats = sorted(result.layout.category.values())
+        cats = sorted(result.drawing.layout.category.values())
         assert cats.count("transitive") == 0
         assert cats.count("cross") == 2
 
@@ -102,13 +102,13 @@ class TestRunPipeline:
         result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
         metrics = result.metrics
         assert metrics.area == metrics.width * metrics.height
-        assert len(result.layout.x) == 100
+        assert len(result.drawing.layout.x) == 100
 
     def test_generated_input_json_schema(self):
         result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
         doc = json.loads(
             render_json(
-                result.layout,
+                result.drawing.layout,
                 result.metrics,
                 bundles=result.drawing.bundles,
                 bundle_of=result.drawing.bundle_of,
@@ -143,7 +143,7 @@ class TestRunPipeline:
         cyclic = tmp_path / "cyclic.edges"
         cyclic.write_text("4\n0 1\n1 2\n2 0\n2 3\n3 1\n")
         result = run_pipeline_full(PipelineConfig(input_path=str(cyclic)))
-        layout, metrics = result.layout, result.metrics
+        layout, metrics = result.drawing.layout, result.metrics
         assert len(layout.x) == 4
         for (u, v), route in layout.routes.items():
             if route:
@@ -256,7 +256,7 @@ class TestRenderJson:
     def test_round_trip_is_byte_identical(self):
         result = run_pipeline_full(PipelineConfig(gen_n=30, gen_degree=1.6, seed=5))
         text = render_json(
-            result.layout,
+            result.drawing.layout,
             result.metrics,
             bundles=result.drawing.bundles,
             bundle_of=result.drawing.bundle_of,
@@ -349,6 +349,25 @@ class TestCli:
         paths = tmp_path / "bad.paths"
         paths.write_text("0 2\n1\n")
         assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+
+    @pytest.mark.parametrize("text", ["2\n0 \u00b2\n", "2\n0 \u0661\n", "\u00b2\n0 1\n"])
+    def test_non_ascii_digits_in_edge_list_exit_2(self, tmp_path, capsys, text):
+        edges = tmp_path / "g.edges"
+        edges.write_text(text, encoding="utf-8")
+        assert main(["layout", str(edges)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'parse'" in err
+        assert re.search(r"line \d+: expected", err)
+
+    def test_non_ascii_digit_in_path_list_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        paths = tmp_path / "g.paths"
+        paths.write_text("0 1 \u00b2\n", encoding="utf-8")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'decomposition'" in err
+        assert "line 1: expected vertex ids" in err
 
     def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):
         edges = tmp_path / "ladder.edges"
