@@ -212,15 +212,14 @@ def draw(
             dy = y[v] - y[u]
             if dy == 1:
                 poly: tuple[Point, ...] = (position[u], position[v])
-                cross_routes.append(CrossRoute(e, 0, poly, None))
+                lane = None
             else:
                 lane = cross_edge_lane[e]
                 if dy == 2:
                     poly = (position[u], (lane, y[u]), position[v])
-                    cross_routes.append(CrossRoute(e, 1, poly, lane))
                 else:
                     poly = (position[u], (lane, y[u]), (lane, y[v]), position[v])
-                    cross_routes.append(CrossRoute(e, 2, poly, lane))
+            cross_routes.append(CrossRoute(e, len(poly) - 2, poly, lane))
             routes[e] = poly
         else:
             category[e] = TRANSITIVE

@@ -8,6 +8,7 @@ losslessly: load followed by dump reproduces the bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .drawing import BundleRecord
 from .layout import Layout, MetricsReport
@@ -43,48 +44,15 @@ class _PixelText(dict):
 
 def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
     """One circle per vertex, one polyline per drawn edge, styled by category."""
-    # every coordinate passes through a table, so the tables' keys also give
-    # the extent: each column and row is formatted once, and no list of all
-    # route points is built to take a maximum
-    px = _PixelText(pitch)
-    py = _PixelText(pitch)
     routes = layout.routes
     category = layout.category
-    body = []
-    for e in sorted(routes):
-        route = routes[e]
-        count = len(route)
-        # the two shapes draw() emits for most edges are spelled out: a
-        # comprehension per route would cost a frame and a list each
-        if count == 2:
-            (ax, ay), (bx, by) = route
-            points = f"{px[ax]},{py[ay]} {px[bx]},{py[by]}"
-        elif count == 4:
-            (ax, ay), (bx, by), (cx, cy), (dx, dy) = route
-            points = f"{px[ax]},{py[ay]} {px[bx]},{py[by]} {px[cx]},{py[cy]} {px[dx]},{py[dy]}"
-        elif count > 2:
-            points = " ".join([f"{px[gx]},{py[gy]}" for gx, gy in route])
-        else:
-            for gx, gy in route:  # not drawn, but still inside the canvas
-                px[gx], py[gy]
-            continue
-        body.append(
-            f'    <polyline class="{_CLASS[category[e]]}" points="{points}">'
-            f"<title>{e[0]}-{e[1]}</title></polyline>"
-        )
-    body.append("  </g>")
-    body.append('  <g class="vertices">')
     xs, ys = layout.x, layout.y
-    for v in sorted(xs):
-        body.append(
-            f'    <circle cx="{px[xs[v]]}" cy="{py[ys[v]]}" r="{SVG_RADIUS}">'
-            f"<title>{v}</title></circle>"
-        )
-    body.append("  </g>")
-    for gy in ys.values():  # rows of vertices missing from x still count
-        py[gy]
-    width = _px(max(px, default=0) + 1, pitch)
-    height = _px(max(py, default=0) + 1, pitch)
+    max_x = max(chain(xs.values(), (p[0] for r in routes.values() for p in r)), default=0)
+    max_y = max(chain(ys.values(), (p[1] for r in routes.values() for p in r)), default=0)
+    width, height = _px(max_x + 1, pitch), _px(max_y + 1, pitch)
+    # each column's and each row's pixel string is formatted once
+    px = _PixelText(pitch)
+    py = _PixelText(pitch)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -94,7 +62,23 @@ def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
         "  </style>",
         '  <g class="edges">',
     ]
-    lines.extend(body)
+    for e in sorted(routes):
+        route = routes[e]
+        if len(route) < 2:
+            continue
+        points = " ".join([f"{px[gx]},{py[gy]}" for gx, gy in route])
+        lines.append(
+            f'    <polyline class="{_CLASS[category[e]]}" points="{points}">'
+            f"<title>{e[0]}-{e[1]}</title></polyline>"
+        )
+    lines.append("  </g>")
+    lines.append('  <g class="vertices">')
+    for v in sorted(xs):
+        lines.append(
+            f'    <circle cx="{px[xs[v]]}" cy="{py[ys[v]]}" r="{SVG_RADIUS}">'
+            f"<title>{v}</title></circle>"
+        )
+    lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -43,15 +43,6 @@ class GapOccupant(NamedTuple):
     members: tuple[tuple[int, int], ...]
 
 
-def bends_for_distance(dy: int) -> int:
-    """Mandated bend count for a cross edge of vertical distance dy >= 1."""
-    if dy == 1:
-        return 0
-    if dy == 2:
-        return 1
-    return 2
-
-
 def gap_occupants(
     rows: dict[int, int] | list[int],
     path_of: dict[int, int] | list[int],

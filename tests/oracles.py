@@ -108,6 +108,15 @@ def segment_count(routes: dict) -> int:
     )
 
 
+def bends_for_distance(dy: int) -> int:
+    """The paper's bend count for a cross edge of vertical distance dy >= 1."""
+    if dy == 1:
+        return 0
+    if dy == 2:
+        return 1
+    return 2
+
+
 def min_cover_bruteforce(g: DiGraph) -> int:
     """Exhaustive enumeration of all vertex-disjoint path covers.
 

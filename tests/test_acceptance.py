@@ -13,6 +13,7 @@ from itertools import product
 from statistics import median
 
 from oracles import (
+    bends_for_distance,
     chains_dag,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
@@ -25,7 +26,6 @@ from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
 from pathdraw.graph import longest_path_ending_at
 from pathdraw.metrics import count_crossings, orientation
-from pathdraw.routing import bends_for_distance
 
 SIZES = (20, 50, 100)
 DEGREES = (1.6, 5.6)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from oracles import bends_for_distance
 from pathdraw import DiGraph, PathDecomposition, classify_edges, count_bends, draw
-from pathdraw.routing import bends_for_distance
 
 
 def _two_path_graph():
