@@ -73,7 +73,7 @@ print(f"\nmetrics: {metrics}")
 here = Path(__file__).parent
 (here / "quickstart.svg").write_text(render_svg(lay), encoding="utf-8")
 (here / "quickstart.json").write_text(
-    render_json(lay, metrics, bundles=drawing.bundles, bundle_of=drawing.bundle_of),
+    render_json(lay, metrics, bundles=drawing.bundles),
     encoding="utf-8",
 )
 print("wrote quickstart.svg and quickstart.json")

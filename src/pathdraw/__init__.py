@@ -7,7 +7,6 @@ on their vertical span. Quality metrics (crossings, bends, width, height,
 area) are computed on the finished integer grid.
 """
 
-from .bench import bench, median_wall_ms, rows_to_csv
 from .decomposition import (
     DecompositionError,
     PathDecomposition,
@@ -26,6 +25,9 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
     StageError,
+    bench,
+    median_wall_ms,
+    rows_to_csv,
     run_pipeline_full,
 )
 from .render import render_json, render_svg

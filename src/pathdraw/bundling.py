@@ -32,7 +32,6 @@ class BundleInterval:
     start_row: int
     finish_row: int
     side: str
-    lane: int = -1
     # row span of each member's trunk leg, parallel to members
     member_spans: tuple[tuple[int, int], ...] = ()
 
@@ -249,21 +248,3 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
                 improved = True
     return LanePacking(tuple(lanes[i] for i in order))
 
-
-def with_lane_indices(packing: LanePacking) -> list[BundleInterval]:
-    """Copies of the packed intervals with their lane index filled in."""
-    return [
-        BundleInterval(
-            path_index=iv.path_index,
-            anchor=iv.anchor,
-            direction=iv.direction,
-            members=iv.members,
-            start_row=iv.start_row,
-            finish_row=iv.finish_row,
-            side=iv.side,
-            lane=li,
-            member_spans=iv.member_spans,
-        )
-        for li, lane in enumerate(packing.lanes)
-        for iv in lane
-    ]

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import bench, median_wall_ms, rows_to_csv
 from .decomposition import DecompositionError
 from .generator import generate_random_dag
 from .graph import GraphError, serialize_graph
@@ -22,6 +21,9 @@ from .pipeline import (
     InvariantError,
     PipelineConfig,
     StageError,
+    bench,
+    median_wall_ms,
+    rows_to_csv,
     run_pipeline_full,
     run_stage,
 )
@@ -108,7 +110,6 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             layout,
             result.metrics,
             bundles=result.drawing.bundles,
-            bundle_of=result.drawing.bundle_of,
             seed=result.seed,
             toggles=result.toggles,
             version=__version__,

@@ -20,7 +20,6 @@ from .bundling import (
     pack_intervals,
     reorder_lanes,
     transitive_bundles,
-    with_lane_indices,
 )
 from .decomposition import PathDecomposition, classify_edges
 from .graph import DiGraph, TopoOrder, topo_sort
@@ -35,7 +34,7 @@ from .layout import (
     Layout,
     Point,
 )
-from .routing import BUNDLE, CrossBundle, CrossRoute, gap_occupants
+from .routing import BUNDLE, gap_occupants
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,7 @@ class BundleRecord:
 @dataclass(frozen=True)
 class Drawing:
     layout: Layout
-    transitive_intervals: tuple[BundleInterval, ...]
-    cross_bundles: tuple[CrossBundle, ...]
-    cross_routes: tuple[CrossRoute, ...]
     bundles: tuple[BundleRecord, ...]
-    bundle_of: dict[tuple[int, int], int]
 
 
 def draw(
@@ -131,7 +126,8 @@ def draw(
     trans_lane_end: dict[tuple[int, str], int] = {}
     column_meta: dict[int, str] = {}
     cross_edge_lane: dict[tuple[int, int], int] = {}
-    cross_bundles: list[CrossBundle] = []
+    # one (target, lane column, span, members) per shared trunk
+    cross_trunks: list[tuple] = []
     col = 0
     for i in range(k):
         cp = cross_packings.get(i)
@@ -145,8 +141,8 @@ def draw(
                     for e in occ.members:
                         cross_edge_lane[e] = lx
                     if occ.kind == BUNDLE:
-                        trunk = (lx, (occ.start_row, occ.finish_row))
-                        cross_bundles.append(CrossBundle(occ.target, occ.members, trunk))
+                        span = (occ.start_row, occ.finish_row)
+                        cross_trunks.append((occ.target, lx, span, occ.members))
         tp = trans_packings.get((i, LEFT))
         if tp is not None:
             for c in range(col, col + tp.lane_count):
@@ -172,34 +168,26 @@ def draw(
     # intervals lane by lane, in start-row order (a lane's intervals are
     # disjoint), so the records come out ordered by (path, side, lane, row)
     member_lane: dict[tuple[int, int], int] = {}
-    lane_assigned: list[BundleInterval] = []
     records: list[BundleRecord] = []
-    bundle_of: dict[tuple[int, int], int] = {}
     for (pi, side), packing in sorted(trans_packings.items()):
         end = trans_lane_end[(pi, side)]
         step = 1 if side == RIGHT else -1
-        for iv in with_lane_indices(packing):
-            lx = end + step * iv.lane
-            rid = len(records)
-            lane_assigned.append(iv)
-            records.append(
-                BundleRecord(
-                    rid, "transitive", iv.anchor, lx, (iv.start_row, iv.finish_row), iv.members
+        for li, lane in enumerate(packing.lanes):
+            lx = end + step * li
+            for iv in lane:
+                span = (iv.start_row, iv.finish_row)
+                records.append(
+                    BundleRecord(len(records), "transitive", iv.anchor, lx, span, iv.members)
                 )
-            )
-            for e in iv.members:
-                member_lane[e] = lx
-                bundle_of[e] = rid
-    for cb in sorted(cross_bundles, key=lambda b: b.target):
-        rid = len(records)
-        records.append(BundleRecord(rid, "cross", cb.target, cb.trunk[0], cb.trunk[1], cb.members))
-        for e in cb.members:
-            bundle_of[e] = rid
+                for e in iv.members:
+                    member_lane[e] = lx
+    # a target has at most one trunk, so the tuples sort by target alone
+    for v, lx, span, members in sorted(cross_trunks):
+        records.append(BundleRecord(len(records), "cross", v, lx, span, members))
 
     position: list[Point] = list(zip(x, y))
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
     category: dict[tuple[int, int], str] = {}
-    cross_routes: list[CrossRoute] = []
     path_set = cls.path_edges
     for e in edges:
         u, v = e
@@ -211,16 +199,13 @@ def draw(
             # one bend per point between the endpoints
             dy = y[v] - y[u]
             if dy == 1:
-                poly: tuple[Point, ...] = (position[u], position[v])
-                lane = None
+                routes[e] = (position[u], position[v])
             else:
                 lane = cross_edge_lane[e]
                 if dy == 2:
-                    poly = (position[u], (lane, y[u]), position[v])
+                    routes[e] = (position[u], (lane, y[u]), position[v])
                 else:
-                    poly = (position[u], (lane, y[u]), (lane, y[v]), position[v])
-            cross_routes.append(CrossRoute(e, len(poly) - 2, poly, lane))
-            routes[e] = poly
+                    routes[e] = (position[u], (lane, y[u]), (lane, y[v]), position[v])
         else:
             category[e] = TRANSITIVE
             if bundle_transitive_edges:
@@ -237,11 +222,4 @@ def draw(
         column_meta=column_meta,
         paths=d.paths,
     )
-    return Drawing(
-        layout=final,
-        transitive_intervals=tuple(lane_assigned),
-        cross_bundles=tuple(cross_bundles),
-        cross_routes=tuple(cross_routes),
-        bundles=tuple(records),
-        bundle_of=bundle_of,
-    )
+    return Drawing(layout=final, bundles=tuple(records))

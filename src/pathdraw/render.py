@@ -87,13 +87,16 @@ def render_json(
     layout: Layout,
     metrics: MetricsReport,
     bundles: tuple[BundleRecord, ...] = (),
-    bundle_of: dict[tuple[int, int], int] | None = None,
     seed: int | None = None,
     toggles: dict[str, bool] | None = None,
     version: str = "0.1.0",
 ) -> str:
-    """Lossless JSON document for the drawing; see the schema in the README."""
-    bundle_of = bundle_of or {}
+    """Lossless JSON document for the drawing; see the schema in the README.
+
+    An edge's ``bundle_id`` is the id of the record in ``bundles`` that
+    lists it as a member.
+    """
+    id_of = {e: b.id for b in bundles for e in b.members}
     order: dict[int, tuple[int, int]] = {}
     for pi, path in enumerate(layout.paths):
         for j, v in enumerate(path):
@@ -116,8 +119,8 @@ def render_json(
             "category": layout.category[(u, v)],
             "route": [[px, py] for px, py in route],
         }
-        if (u, v) in bundle_of:
-            entry["bundle_id"] = bundle_of[(u, v)]
+        if (u, v) in id_of:
+            entry["bundle_id"] = id_of[(u, v)]
         edges.append(entry)
     bundle_objs = [
         {

@@ -11,26 +11,9 @@ the target's path.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .layout import Point
-
 BUNDLE, SINGLE = "bundle", "edge"
-
-
-class CrossRoute(NamedTuple):
-    edge: tuple[int, int]
-    bends: int
-    polyline: tuple[Point, ...]
-    lane: int | None = None
-
-
-@dataclass(frozen=True)
-class CrossBundle:
-    target: int
-    members: tuple[tuple[int, int], ...]
-    trunk: tuple[int, tuple[int, int]]  # (lane column, (start row, finish row))
 
 
 class GapOccupant(NamedTuple):

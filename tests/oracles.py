@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from typing import NamedTuple
 
 from pathdraw import DiGraph, PathDecomposition
 
@@ -115,6 +116,32 @@ def bends_for_distance(dy: int) -> int:
     if dy == 2:
         return 1
     return 2
+
+
+class CrossRoute(NamedTuple):
+    edge: tuple[int, int]
+    bends: int
+    polyline: tuple
+    lane: int | None
+
+
+def cross_routes_of(drawing) -> list[CrossRoute]:
+    """The cross edges' routes in route order, read off ``drawing.layout``.
+
+    Every point between the endpoints is a bend, and the lane is the column
+    of the first bend (``None`` for a straight 2-point route).
+    """
+    lay = drawing.layout
+    return [
+        CrossRoute(e, len(poly) - 2, poly, poly[1][0] if len(poly) > 2 else None)
+        for e, poly in lay.routes.items()
+        if lay.category[e] == "cross"
+    ]
+
+
+def bundle_ids(drawing) -> dict[tuple[int, int], int]:
+    """Edge -> id of the bundle record that lists it as a member."""
+    return {e: b.id for b in drawing.bundles for e in b.members}
 
 
 def min_cover_bruteforce(g: DiGraph) -> int:

@@ -15,6 +15,7 @@ from statistics import median
 from oracles import (
     bends_for_distance,
     chains_dag,
+    cross_routes_of,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
     max_overlap_depth,
@@ -105,7 +106,7 @@ def test_criterion_04_cross_edge_bend_rule():
     checked = 0
     for g, d, drawing in _suite():
         lay = drawing.layout
-        for route in drawing.cross_routes:
+        for route in cross_routes_of(drawing):
             u, v = route.edge
             distance = lay.y[v] - lay.y[u]
             corners = sum(

@@ -237,8 +237,9 @@ class TestCountBends:
         )
         d = PathDecomposition(((0, 1, 2, 3, 4),))
         drawing = draw(g, d)
-        assert len(drawing.transitive_intervals) == 1
-        members = drawing.transitive_intervals[0].members
+        intervals = [b for b in drawing.bundles if b.kind == "transitive"]
+        assert len(intervals) == 1
+        members = intervals[0].members
         trimmed = _toy_layout({e: drawing.layout.routes[e] for e in members})
         assert count_bends(trimmed) == 6
 
@@ -272,7 +273,6 @@ class TestMeasure:
                 result.drawing.layout,
                 result.metrics,
                 bundles=result.drawing.bundles,
-                bundle_of=result.drawing.bundle_of,
             )
         )
         routes = {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -9,7 +11,7 @@ import pytest
 
 import pathdraw.cli
 import pathdraw.pipeline
-from oracles import ladder_dag
+from oracles import chains_dag, ladder_dag
 from pathdraw import (
     DiGraph,
     GraphError,
@@ -111,7 +113,6 @@ class TestRunPipeline:
                 result.drawing.layout,
                 result.metrics,
                 bundles=result.drawing.bundles,
-                bundle_of=result.drawing.bundle_of,
                 seed=result.seed,
                 toggles=result.toggles,
             )
@@ -259,7 +260,6 @@ class TestRenderJson:
             result.drawing.layout,
             result.metrics,
             bundles=result.drawing.bundles,
-            bundle_of=result.drawing.bundle_of,
             seed=result.seed,
             toggles=result.toggles,
         )
@@ -273,13 +273,28 @@ class TestRenderJson:
                 result.layout,
                 measure(result.layout),
                 bundles=result.bundles,
-                bundle_of=result.bundle_of,
             )
         )
         ids = {b["id"] for b in doc["bundles"]}
         for e in doc["edges"]:
             if "bundle_id" in e:
                 assert e["bundle_id"] in ids
+
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "random-10", "chains"])
+    def test_bundle_ids_come_from_bundle_records(self, case):
+        if case == "chains":
+            g, d = chains_dag(6, 120, 5)
+        else:
+            g = generate_random_dag(40, 3.0, seed=int(case.split("-")[1]))
+            d = min_path_cover(g)
+        drawing = draw(g, d)
+        doc = json.loads(
+            render_json(drawing.layout, measure(drawing.layout), bundles=drawing.bundles)
+        )
+        expected = {e: b.id for b in drawing.bundles for e in b.members}
+        assert expected  # every case has bundled edges
+        got = {(e["u"], e["v"]): e["bundle_id"] for e in doc["edges"] if "bundle_id" in e}
+        assert got == expected
 
 
 class TestCli:
@@ -462,6 +477,29 @@ class TestBench:
             "wall_ms",
         ]
         assert line.startswith("n10-d1.6-s1,10,16,")
+
+    def test_csv_text_is_pinned(self):
+        # two fixed rows built from a real one, so only the CSV writer is pinned
+        row = bench([10], 1.6, seeds=1)[0]
+        rows = [
+            dataclasses.replace(
+                row, graph_id="a", n=3, m=4, crossings=5, bends=6,
+                width=7, height=8, area=56, wall_ms=2.0,
+            ),
+            dataclasses.replace(
+                row, graph_id="n10-d1.6-s1", n=10, m=16, crossings=0, bends=9,
+                width=4, height=6, area=24, wall_ms=0.125,
+            ),
+        ]
+        assert rows_to_csv(rows) == (
+            "graph_id,n,m,crossings,bends,width,height,area,wall_ms\n"
+            "a,3,4,5,6,7,8,56,2.0\n"
+            "n10-d1.6-s1,10,16,0,9,4,6,24,0.125\n"
+        )
+
+    def test_bench_is_a_function_not_a_submodule(self):
+        assert callable(pathdraw.bench)
+        assert importlib.util.find_spec("pathdraw.bench") is None
 
     def test_median_aggregation(self):
         rows = bench([10, 20], 1.6, seeds=3)

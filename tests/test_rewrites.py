@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     adjacency_reference,
     chains_dag,
+    cross_routes_of,
     cyclic_digraph_edges,
     gap_occupants_reference,
     remove_cycles_reference,
@@ -147,7 +148,7 @@ class TestDrawOrder:
         assert list(drawing.layout.routes) == sorted(g.edges)
         assert list(drawing.layout.category) == sorted(g.edges)
         cross = classify_edges(g, d).cross_edges
-        assert [r.edge for r in drawing.cross_routes] == sorted(cross)
+        assert [r.edge for r in cross_routes_of(drawing)] == sorted(cross)
 
 
 def _layout(x, y, routes, categories="cross") -> Layout:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import bends_for_distance
+from oracles import bends_for_distance, bundle_ids, chains_dag, cross_routes_of
 from pathdraw import DiGraph, PathDecomposition, classify_edges, count_bends, draw
 
 
@@ -37,7 +38,7 @@ def test_bend_rule(distance, expected):
 class TestCrossRoutes:
     def test_bends_match_distances(self):
         g, d = _two_path_graph()
-        routes = draw(g, d, bundle_cross_incoming=False).cross_routes
+        routes = cross_routes_of(draw(g, d, bundle_cross_incoming=False))
         by_edge = {r.edge: r for r in routes}
         assert set(by_edge) == {(6, 1), (6, 2), (6, 5)}
         assert by_edge[(6, 1)].bends == 0
@@ -62,7 +63,7 @@ class TestCrossRoutes:
 
     def test_lane_assigned_only_when_needed(self):
         g, d = _two_path_graph()
-        by_edge = {r.edge: r for r in draw(g, d, bundle_cross_incoming=False).cross_routes}
+        by_edge = {r.edge: r for r in cross_routes_of(draw(g, d, bundle_cross_incoming=False))}
         assert by_edge[(6, 1)].lane is None
         assert by_edge[(6, 2)].lane is not None
         assert by_edge[(6, 5)].lane is not None
@@ -80,12 +81,13 @@ class TestCrossBundles:
         g, d = _fan_in_graph()
         drawing = draw(g, d)
         lay = drawing.layout
-        bundles, rerouted = drawing.cross_bundles, drawing.cross_routes
+        bundles = [b for b in drawing.bundles if b.kind == "cross"]
+        rerouted = cross_routes_of(drawing)
         assert len(bundles) == 1
         bundle = bundles[0]
-        assert bundle.target == 5
+        assert bundle.anchor_or_target == 5
         assert bundle.members == ((6, 5), (7, 5), (8, 5))
-        lane_x, (start, finish) = bundle.trunk
+        lane_x, (start, finish) = bundle.lane, bundle.span
         assert (start, finish) == (lay.y[6], lay.y[5])
         for r in rerouted:
             if r.edge in bundle.members:
@@ -99,7 +101,7 @@ class TestCrossBundles:
         drawing = draw(g, d)
         lay = drawing.layout
         assert [lay.y[3] - lay.y[s] for s in (4, 5, 6)] == [3, 2, 1]
-        members = {e for b in drawing.cross_bundles for e in b.members}
+        members = {e for b in drawing.bundles if b.kind == "cross" for e in b.members}
         assert members == {(4, 3), (5, 3)}
         assert len(lay.routes[(6, 3)]) == 2  # still a straight diagonal
 
@@ -112,8 +114,8 @@ class TestCrossBundles:
         lay = drawing.layout
         assert lay.y[3] - lay.y[4] == 3
         assert lay.y[3] - lay.y[6] == 1
-        assert drawing.cross_bundles == ()
-        by_edge = {r.edge: r for r in drawing.cross_routes}
+        assert [b for b in drawing.bundles if b.kind == "cross"] == []
+        by_edge = {r.edge: r for r in cross_routes_of(drawing)}
         assert by_edge[(4, 3)].bends == 2
         assert by_edge[(6, 3)].bends == 0
 
@@ -127,15 +129,16 @@ class TestCrossBundles:
         lay = drawing.layout
         assert lay.y[4] - lay.y[5] == 4
         assert lay.y[4] - lay.y[7] == 2
-        assert len(drawing.cross_bundles) == 1
-        bundle = drawing.cross_bundles[0]
+        cross_bundles = [b for b in drawing.bundles if b.kind == "cross"]
+        assert len(cross_bundles) == 1
+        bundle = cross_bundles[0]
         assert set(bundle.members) == {(5, 4), (7, 4)}
-        lane_x = bundle.trunk[0]
+        lane_x = bundle.lane
         short = lay.routes[(7, 4)]
         long = lay.routes[(5, 4)]
         assert len(short) == 3 and short[1] == (lane_x, lay.y[7])
         assert len(long) == 4 and long[1][0] == long[2][0] == lane_x
-        by_edge = {r.edge: r for r in drawing.cross_routes}
+        by_edge = {r.edge: r for r in cross_routes_of(drawing)}
         assert by_edge[(7, 4)].bends == 1
         assert by_edge[(5, 4)].bends == 2
 
@@ -168,7 +171,8 @@ class TestTransitiveWrapper:
         g = DiGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)])
         d = PathDecomposition(((0, 1, 2, 3),))
         drawing = draw(g, d, reorder=False)
-        intervals, updated = drawing.transitive_intervals, drawing.layout
+        intervals = [b for b in drawing.bundles if b.kind == "transitive"]
+        updated = drawing.layout
         assert len(intervals) == 1
         for e in intervals[0].members:
             route = updated.routes[e]
@@ -178,10 +182,49 @@ class TestTransitiveWrapper:
     def test_every_transitive_edge_bundled_once(self):
         g, d = _two_bundle_graph()
         cls = classify_edges(g, d)
-        intervals = draw(g, d, reorder=False).transitive_intervals
+        drawing = draw(g, d, reorder=False)
+        intervals = [b for b in drawing.bundles if b.kind == "transitive"]
         members = [e for iv in intervals for e in iv.members]
         assert sorted(members) == sorted(cls.transitive_edges)
         assert len(members) == len(set(members))
+
+
+class TestBundleRecordsMatchRoutes:
+    @pytest.mark.parametrize("reorder", [True, False], ids=["reorder", "no-reorder"])
+    @pytest.mark.parametrize("bundle_cross", [True, False], ids=["cross-on", "cross-off"])
+    @pytest.mark.parametrize("case", ["random-3", "random-7", "random-10", "chains"])
+    def test_members_sit_on_their_record_lane(self, case, bundle_cross, reorder):
+        from pathdraw import generate_random_dag, min_path_cover
+
+        if case == "chains":
+            g, d = chains_dag(6, 120, 5)
+        else:
+            g = generate_random_dag(40, 3.0, seed=int(case.split("-")[1]))
+            d = min_path_cover(g)
+        drawing = draw(g, d, bundle_cross_incoming=bundle_cross, reorder=reorder)
+        lay = drawing.layout
+        kinds = {b.kind for b in drawing.bundles}
+        assert kinds == ({"transitive", "cross"} if bundle_cross else {"transitive"})
+        for b in drawing.bundles:
+            lo, hi = b.span
+            for e in b.members:
+                route = lay.routes[e]
+                if b.kind == "transitive":
+                    assert lay.category[e] == "transitive"
+                    assert len(route) == 4
+                    assert route[1][0] == route[2][0] == b.lane  # trunk column
+                    assert lo <= route[1][1] <= hi and lo <= route[2][1] <= hi
+                else:
+                    assert lay.category[e] == "cross"
+                    assert len(route) in (3, 4)
+                    # the corner, or both ends of the leg, on the trunk column
+                    assert all(p[0] == b.lane for p in route[1:-1])
+                    assert all(lo <= p[1] <= hi for p in route[1:-1])
+        count = Counter(e for b in drawing.bundles for e in b.members)
+        cls = classify_edges(g, d)
+        assert all(count[e] == 1 for e in cls.transitive_edges)
+        assert all(count[e] <= 1 for e in cls.cross_edges)
+        assert set(count) <= cls.transitive_edges | cls.cross_edges
 
 
 def _two_bundle_graph():
@@ -233,8 +276,9 @@ class TestDrawingWellFormed:
         drawing = draw(g, d)
         lay = drawing.layout
         verticals: dict[int, list[tuple[int, int, object]]] = {}
+        bundle_of = bundle_ids(drawing)
         for e, route in lay.routes.items():
-            key = drawing.bundle_of.get(e, e)
+            key = bundle_of.get(e, e)
             for p, q in zip(route, route[1:]):
                 if p[0] == q[0] and p[1] != q[1]:
                     lo, hi = sorted((p[1], q[1]))
