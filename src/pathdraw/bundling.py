@@ -3,9 +3,10 @@
 Each bundle groups the current transitive in- or out-edges of one vertex
 (the anchor) and is represented by a vertical interval on a lane beside the
 path's spine. Bundles are extracted greedily by maximum transitive degree,
-packed into the minimum number of lanes by a first-fit scan over intervals
-sorted by start row, and optionally permuted afterwards to shed crossings
-between trunks and connectors.
+packed into the minimum number of lanes by greedy interval partitioning
+(intervals by start row, each on the lowest-numbered free lane), and
+optionally permuted afterwards to shed crossings between trunks and
+connectors.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class LanePacking:
     def lane_count(self) -> int:
         return len(self.lanes)
 
-    def occupants(self) -> list:
-        return [iv for lane in self.lanes for iv in lane]
-
 
 def transitive_bundles(
     g: DiGraph,
@@ -62,8 +60,11 @@ def transitive_bundles(
     degrees. ``rows`` is the compacted vertical placement. Intervals of the
     rightmost path go on its right side; all others go left. The
     transitive edges are bucketed by path in one pass and a lazy-deletion
-    max-heap picks the anchors, which keeps this O(n + t log t) for t
-    transitive edges.
+    max-heap picks the anchors. An extraction empties the anchor's set and
+    takes each member out of one set of its other endpoint, and only that
+    set's new degree is pushed, so every non-empty set keeps an entry with
+    its current key and the heap sees one push per transitive edge: O(n +
+    t log t) for t transitive edges.
     """
     out: list[BundleInterval] = []
     last = d.path_count - 1
@@ -98,58 +99,69 @@ def transitive_bundles(
         while heap:
             neg, v, which = heappop(heap)
             edges = indeg[v] if which == 0 else outdeg[v]
-            if not edges or -neg != len(edges):
+            if -neg != len(edges):
                 continue  # stale heap entry
             members = tuple(sorted(edges))
-            member_rows = [rows[u] for e in members for u in e]
-            spans = tuple(
-                (min(rows[a], rows[b]), max(rows[a], rows[b])) for a, b in members
-            )
+            edges.clear()
+            # each member leaves one set of its other endpoint: the outgoing
+            # set of a source for an incoming anchor, and vice versa
+            other, flip = (outdeg, 1) if which == 0 else (indeg, 0)
+            row = start = finish = rows[v]
+            spans = []
+            for e in members:
+                u = e[which]
+                r = rows[u]
+                if r < start:
+                    start = r
+                elif r > finish:
+                    finish = r
+                spans.append((r, row) if r < row else (row, r))
+                left = other[u]
+                left.discard(e)
+                if left:
+                    heappush(heap, (-len(left), u, flip))
             out.append(
                 BundleInterval(
                     path_index=pi,
                     anchor=v,
                     direction=INCOMING if which == 0 else OUTGOING,
                     members=members,
-                    start_row=min(member_rows),
-                    finish_row=max(member_rows),
+                    start_row=start,
+                    finish_row=finish,
                     side=side,
-                    member_spans=spans,
+                    member_spans=tuple(spans),
                 )
             )
-            for u, w in members:
-                outdeg[u].discard((u, w))
-                indeg[w].discard((u, w))
-            touched = {u for e in members for u in e}
-            for u in touched:
-                if indeg[u]:
-                    heappush(heap, (-len(indeg[u]), u, 0))
-                if outdeg[u]:
-                    heappush(heap, (-len(outdeg[u]), u, 1))
     return out
 
 
 def pack_intervals(intervals) -> LanePacking:
-    """First-fit interval partitioning into the optimum number of lanes.
+    """Greedy interval partitioning into the optimum number of lanes.
 
-    Intervals are scanned in ascending start-row order and each goes on the
-    first lane (nearest the spine) where it fits. Closed-interval overlap:
-    sharing even one row is a conflict. The lane count equals the maximum
-    number of intervals covering any single row.
+    Intervals are taken in ascending start-row order and each goes on the
+    lowest-numbered lane (nearest the spine) where it fits. Closed-interval
+    overlap: sharing even one row is a conflict. The lane count equals the
+    maximum number of intervals covering any single row. A heap of busy
+    ``(finish_row, lane)`` pairs releases lanes into a min-heap of free lane
+    numbers once their last interval ends above the current start; starts
+    only grow, so a released lane stays free until it is reused. N intervals
+    in L lanes cost O(N log N) for the sort and O(N log L) for the packing.
     """
     # the sort is stable, so ties keep their input order
     ordered = sorted(intervals, key=attrgetter("start_row", "finish_row"))
     lanes: list[list] = []
-    last_finish: list[int] = []
+    busy: list[tuple[int, int]] = []
+    free: list[int] = []
     for iv in ordered:
-        for li in range(len(lanes)):
-            if iv.start_row > last_finish[li]:
-                lanes[li].append(iv)
-                last_finish[li] = iv.finish_row
-                break
+        while busy and busy[0][0] < iv.start_row:
+            heappush(free, heappop(busy)[1])
+        if free:
+            li = heappop(free)
+            lanes[li].append(iv)
         else:
+            li = len(lanes)
             lanes.append([iv])
-            last_finish.append(iv.finish_row)
+        heappush(busy, (iv.finish_row, li))
     return LanePacking(tuple(map(tuple, lanes)))
 
 
@@ -178,6 +190,15 @@ def _crossings(nearer_spans, farther) -> int:
     return count
 
 
+def _sorted_spans(lanes: tuple[tuple, ...]) -> tuple[list, list]:
+    """Each lane's member spans sorted, and the end lists ``_crossings`` reads."""
+    spans = [sorted(span for iv in lane for span in iv.member_spans) for lane in lanes]
+    ends = [
+        ([lo for lo, _ in s], [hi for _, hi in s], sorted(hi for _, hi in s)) for s in spans
+    ]
+    return spans, ends
+
+
 def lane_pair_costs(lanes: tuple[tuple, ...]) -> list[list[int]]:
     """``cost[i][j]``: trunk/connector crossings when lane i sits nearer than j.
 
@@ -186,10 +207,7 @@ def lane_pair_costs(lanes: tuple[tuple, ...]) -> list[list[int]]:
     member pair counts once even when both of its ends do. With M member
     spans in L lanes and X crossing pairs this is O(L M log M + X).
     """
-    spans = [sorted(span for iv in lane for span in iv.member_spans) for lane in lanes]
-    ends = [
-        ([lo for lo, _ in s], [hi for _, hi in s], sorted(hi for _, hi in s)) for s in spans
-    ]
+    spans, ends = _sorted_spans(lanes)
     count = len(lanes)
     return [
         [_crossings(spans[i], ends[j]) if i != j else 0 for j in range(count)]
@@ -213,15 +231,26 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
     climbing otherwise. The result never has more crossings than the input,
     and ties keep the incumbent order. Swapping adjacent lanes a and b
     changes only their own pair's term, so a swap is taken exactly when
-    ``pair_cost[b][a] < pair_cost[a][b]``. The climb ends: each accepted
-    swap strictly lowers the order's cost, a non-negative integer.
+    ``cost(b, a) < cost(a, b)``. The climb ends: each accepted swap strictly
+    lowers the order's cost, a non-negative integer, so S swaps are at most
+    the starting cost.
+
+    The climb reads only the costs of lanes that are adjacent at some point,
+    so it computes each pair's cost on first use: the first pass meets
+    L - 1 pairs and each swap brings at most two new neighbours together,
+    hence at most L - 1 + 2S pairs. With M member spans that is O(M log M)
+    to sort the spans, then one bisect pass per computed pair. S can be
+    quadratic: lanes holding nested spans, packed widest first, cost one
+    crossing per pair, and the climb reverses them in L(L - 1)/2 swaps.
+    Each swap sheds at least one crossing, so the pairs computed never
+    exceed L - 1 plus twice the crossings of the input order.
     """
     lanes = packing.lanes
     count = len(lanes)
     if count <= 1:
         return packing
-    pair_cost = lane_pair_costs(lanes)
     if count <= _EXHAUSTIVE_LIMIT:
+        pair_cost = lane_pair_costs(lanes)
 
         def cost_of(order: tuple[int, ...]) -> int:
             return sum(
@@ -237,14 +266,22 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
             if c < best_cost:
                 best, best_cost = perm, c
         return LanePacking(tuple(lanes[i] for i in best))
+    spans, ends = _sorted_spans(lanes)
+    known: dict[tuple[int, int], int] = {}
+
+    def cost(i: int, j: int) -> int:
+        c = known.get((i, j))
+        if c is None:
+            c = known[i, j] = _crossings(spans[i], ends[j])
+        return c
+
     order = list(range(count))
     improved = True
     while improved:
         improved = False
         for i in range(count - 1):
             a, b = order[i], order[i + 1]
-            if pair_cost[b][a] < pair_cost[a][b]:
+            if cost(b, a) < cost(a, b):
                 order[i], order[i + 1] = b, a
                 improved = True
     return LanePacking(tuple(lanes[i] for i in order))
-

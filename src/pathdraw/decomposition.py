@@ -42,10 +42,18 @@ class ValidationReport:
     duplicated: tuple[int, ...] = ()
     non_edges: tuple[tuple[int, int], ...] = ()
     out_of_range: tuple[int, ...] = ()
+    # consecutive pairs that are input edges which cycle removal reversed
+    reversed_pairs: tuple[tuple[int, int], ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not (self.missing or self.duplicated or self.non_edges or self.out_of_range)
+        return not (
+            self.missing
+            or self.duplicated
+            or self.non_edges
+            or self.out_of_range
+            or self.reversed_pairs
+        )
 
     def describe(self) -> str:
         parts = []
@@ -60,19 +68,29 @@ class ValidationReport:
                 "consecutive pairs that are not edges "
                 + ", ".join(f"({u}, {v})" for u, v in self.non_edges)
             )
+        if self.reversed_pairs:
+            parts.append(
+                "consecutive pairs that are input edges reversed by cycle removal "
+                + ", ".join(f"({u}, {v})" for u, v in self.reversed_pairs)
+            )
         return "; ".join(parts) if parts else "ok"
 
 
-def validate_decomposition(g: DiGraph, d: PathDecomposition) -> ValidationReport:
+def validate_decomposition(
+    g: DiGraph, d: PathDecomposition, reversed_edges: frozenset = frozenset()
+) -> ValidationReport:
     """Check that d covers every vertex exactly once with true directed paths.
 
     Consecutive vertices of a path must be joined by an edge of g in that
-    direction; reachability-only sequences are rejected.
+    direction; reachability-only sequences are rejected. A pair that is not
+    an edge of g but is in ``reversed_edges`` (the input edges that cycle
+    removal flipped to make g) is reported as such, not as a non-edge.
     """
     seen: set[int] = set()
     duplicated: list[int] = []
     out_of_range: list[int] = []
     non_edges: list[tuple[int, int]] = []
+    reversed_pairs: list[tuple[int, int]] = []
     for path in d.paths:
         for v in path:
             if not (0 <= v < g.vertex_count):
@@ -83,13 +101,14 @@ def validate_decomposition(g: DiGraph, d: PathDecomposition) -> ValidationReport
             seen.add(v)
         for u, v in zip(path, path[1:]):
             if 0 <= u < g.vertex_count and 0 <= v < g.vertex_count and not g.has_edge(u, v):
-                non_edges.append((u, v))
+                (reversed_pairs if (u, v) in reversed_edges else non_edges).append((u, v))
     missing = [v for v in range(g.vertex_count) if v not in seen]
     return ValidationReport(
         missing=tuple(missing),
         duplicated=tuple(sorted(set(duplicated))),
         non_edges=tuple(non_edges),
         out_of_range=tuple(sorted(set(out_of_range))),
+        reversed_pairs=tuple(reversed_pairs),
     )
 
 
@@ -214,12 +233,16 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     return PathDecomposition(tuple(paths))
 
 
-def parse_decomposition(text: str, g: DiGraph) -> PathDecomposition:
+def parse_decomposition(
+    text: str, g: DiGraph, reversed_edges: frozenset = frozenset()
+) -> PathDecomposition:
     """Parse a path-list document and validate it against g.
 
     One path per line, vertex ids (ASCII decimal) separated by single
     spaces; ``#`` starts a comment. Path order in the file is the column
-    order of the drawing.
+    order of the drawing. ``reversed_edges`` are the input edges that cycle
+    removal flipped to make g; a path that runs along one is rejected with
+    a message that says so.
     """
     paths: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -232,7 +255,7 @@ def parse_decomposition(text: str, g: DiGraph) -> PathDecomposition:
             raise DecompositionError(f"line {lineno}: expected vertex ids, got {line!r}")
         paths.append(tuple(int(p) for p in parts))
     d = PathDecomposition(tuple(paths))
-    report = validate_decomposition(g, d)
+    report = validate_decomposition(g, d, reversed_edges)
     if not report.ok:
         raise DecompositionError(f"invalid decomposition: {report.describe()}")
     return d

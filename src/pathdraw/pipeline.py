@@ -115,7 +115,9 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
 
     if config.decomposition_path is not None:
         text = run_stage("read-paths", Path(config.decomposition_path).read_text)
-        d = run_stage("decomposition", parse_decomposition, text, dag)
+        d = run_stage(
+            "decomposition", parse_decomposition, text, dag, removal.reversed_edges
+        )
     else:
         d = run_stage("decomposition", min_path_cover, dag)
 

@@ -9,10 +9,13 @@ They share no code with the library so a bug cannot hide on both sides.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
 from itertools import permutations
+from operator import attrgetter
 from typing import NamedTuple
 
 from pathdraw import DiGraph, PathDecomposition
+from pathdraw.bundling import BundleInterval, LanePacking
 
 
 def longest_ending_at_bruteforce(g: DiGraph) -> dict[int, int]:
@@ -292,9 +295,23 @@ def chains_dag(k: int, length: int, seed: int) -> tuple[DiGraph, PathDecompositi
     return g, PathDecomposition(tuple(tuple(chain) for chain in chains))
 
 
+def many_lane_dag(n: int) -> tuple[DiGraph, PathDecomposition]:
+    """One path 0..n-1 with skip edges i -> i + n//2: n/2 lanes in one stack.
+
+    Every skip edge is transitive and bundled alone, and all n - n//2 of
+    their intervals contain row n//2, so the path's stack needs that many
+    lanes.
+    """
+    half = n // 2
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if half >= 2:
+        edges += [(i, i + half) for i in range(n - half)]
+    return DiGraph.build(n, sorted(edges)), PathDecomposition((tuple(range(n)),))
+
+
 # Earlier forms of rewritten hot loops. The library's versions avoid
-# per-edge temporaries; these keep the plain form, one step per edge, and
-# must give equal results.
+# per-edge temporaries, lane scans and repeated heap entries; these keep
+# the plain form, one step per edge, and must give equal results.
 
 
 def adjacency_reference(vertex_count: int, edges) -> tuple[tuple, tuple]:
@@ -451,4 +468,73 @@ def cyclic_digraph_edges(
             edges.add((v, u))
     out = sorted(edges)
     rng.shuffle(out)
+    return out
+
+
+def pack_intervals_first_fit(intervals) -> LanePacking:
+    """Intervals by (start, finish), each on the first lane it fits, lanes scanned in order."""
+    lanes: list[list] = []
+    last_finish: list[int] = []
+    for iv in sorted(intervals, key=attrgetter("start_row", "finish_row")):
+        for li in range(len(lanes)):
+            if iv.start_row > last_finish[li]:
+                lanes[li].append(iv)
+                last_finish[li] = iv.finish_row
+                break
+        else:
+            lanes.append([iv])
+            last_finish.append(iv.finish_row)
+    return LanePacking(tuple(map(tuple, lanes)))
+
+
+def transitive_bundles_reference(g: DiGraph, d: PathDecomposition, classification, rows):
+    """Greedy bundle extraction that re-pushes both degrees of every touched vertex."""
+    out = []
+    last = d.path_count - 1
+    path_of = {v: pi for pi, path in enumerate(d.paths) for v in path}
+    for pi, path in enumerate(d.paths):
+        remaining = [
+            (u, v)
+            for u, v in classification.transitive_edges
+            if path_of.get(u) == pi and path_of.get(v) == pi
+        ]
+        if not remaining:
+            continue
+        indeg: dict[int, set] = {v: set() for v in path}
+        outdeg: dict[int, set] = {v: set() for v in path}
+        for u, v in remaining:
+            outdeg[u].add((u, v))
+            indeg[v].add((u, v))
+        heap = [(-len(indeg[v]), v, 0) for v in path if indeg[v]]
+        heap += [(-len(outdeg[v]), v, 1) for v in path if outdeg[v]]
+        heapify(heap)
+        while heap:
+            neg, v, which = heappop(heap)
+            edges = indeg[v] if which == 0 else outdeg[v]
+            if not edges or -neg != len(edges):
+                continue
+            members = tuple(sorted(edges))
+            member_rows = [rows[u] for e in members for u in e]
+            out.append(
+                BundleInterval(
+                    path_index=pi,
+                    anchor=v,
+                    direction="incoming" if which == 0 else "outgoing",
+                    members=members,
+                    start_row=min(member_rows),
+                    finish_row=max(member_rows),
+                    side="right" if pi == last else "left",
+                    member_spans=tuple(
+                        (min(rows[a], rows[b]), max(rows[a], rows[b])) for a, b in members
+                    ),
+                )
+            )
+            for u, w in members:
+                outdeg[u].discard((u, w))
+                indeg[w].discard((u, w))
+            for u in {u for e in members for u in e}:
+                if indeg[u]:
+                    heappush(heap, (-len(indeg[u]), u, 0))
+                if outdeg[u]:
+                    heappush(heap, (-len(outdeg[u]), u, 1))
     return out

@@ -18,6 +18,7 @@ from oracles import (
     cross_routes_of,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
+    many_lane_dag,
     max_overlap_depth,
     min_cover_bruteforce,
     segment_count,
@@ -220,6 +221,36 @@ def test_criterion_11_chains_scaling_trend():
         f"on 4 chains of 250..2000 ({elapsed:.1f}s)",
     )
 
+
+
+def test_criterion_12_many_lane_scaling_trend():
+    # One path of n vertices with skip edges i -> i + n/2: every skip edge
+    # is its own bundle and all of them share the middle rows, so one stack
+    # holds n/2 lanes. The same window as criterion 06 must grow by at most
+    # 3.0 per doubling of n; a lane-by-lane packing scan or an all-pairs
+    # lane-pair count is quadratic in the lanes and grows past it.
+    import gc
+
+    _cache.pop("suite", None)
+    gc.collect()
+    start = time.perf_counter()
+    sizes = (500, 1000, 2000, 4000)
+    times = []
+    for n in sizes:
+        g, d = many_lane_dag(n)
+        times.append(min(_timed_drawing_window(g, d) for _ in range(5)))
+        del g, d
+    elapsed = time.perf_counter() - start
+    ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
+    per_doubling = (times[-1] / times[0]) ** (1 / (len(sizes) - 1))
+    assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
+    assert elapsed < 30.0
+    pretty = ", ".join(f"{r:.2f}" for r in ratios)
+    _report(
+        12,
+        f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
+        f"on one path of 500..4000 with n/2 lanes ({elapsed:.1f}s)",
+    )
 
 def test_criterion_07_hiding_transitive_preserves_positions():
     for g, d, drawing in _suite():

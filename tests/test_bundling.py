@@ -8,8 +8,11 @@ from oracles import (
     chains_dag,
     crossing_pairs_bruteforce,
     lane_pair_crossings_bruteforce,
+    many_lane_dag,
     max_overlap_depth,
+    pack_intervals_first_fit,
     reorder_lanes_bruteforce,
+    transitive_bundles_reference,
 )
 from pathdraw import (
     DiGraph,
@@ -200,7 +203,9 @@ class TestReorder:
         packing = pack_intervals(intervals)
         reordered = reorder_lanes(packing)
         assert stack_crossings(reordered.lanes) <= stack_crossings(packing.lanes)
-        assert sorted(map(id, reordered.occupants())) == sorted(map(id, packing.occupants()))
+        assert sorted(id(iv) for lane in reordered.lanes for iv in lane) == sorted(
+            id(iv) for lane in packing.lanes for iv in lane
+        )
 
 
 def _random_packing(rng: random.Random) -> LanePacking:
@@ -273,3 +278,141 @@ class TestLanePairCostsAgainstOracle:
         assert max(p.lane_count for p in packings) > 6
         for packing in packings:
             _assert_reorder_matches_oracle(packing)
+
+
+def _assert_packing_matches_first_fit(intervals) -> None:
+    # identity, not equality: intervals with equal fields must not trade places
+    got = pack_intervals(intervals).lanes
+    want = pack_intervals_first_fit(intervals).lanes
+    assert [[id(iv) for iv in lane] for lane in got] == [[id(iv) for iv in lane] for lane in want]
+
+
+class TestPackingAgainstFirstFit:
+    def test_equal_start_rows(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            intervals = [
+                _iv(rng.randrange(3), rng.randrange(3, 9), anchor=i)
+                for i in range(rng.randrange(1, 40))
+            ]
+            _assert_packing_matches_first_fit(intervals)
+
+    def test_intervals_sharing_exactly_one_row(self):
+        # each interval starts on the row where the previous one ends
+        chain = [_iv(2 * i, 2 * i + 2, anchor=i) for i in range(30)]
+        assert pack_intervals(chain).lane_count == 2
+        _assert_packing_matches_first_fit(chain)
+        _assert_packing_matches_first_fit(chain[::-1])
+
+    def test_single_row_intervals(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            intervals = []
+            for i in range(rng.randrange(1, 60)):
+                s = rng.randrange(20)
+                f = s if rng.random() < 0.7 else s + rng.randrange(1, 4)
+                intervals.append(_iv(s, f, anchor=i))
+            _assert_packing_matches_first_fit(intervals)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sorted_reversed_and_shuffled_input(self, seed):
+        rng = random.Random(seed)
+        intervals = []
+        for i in range(rng.randrange(10, 120)):
+            s = rng.randrange(60)
+            intervals.append(_iv(s, s + rng.randrange(0, 25), anchor=i))
+        ordered = sorted(intervals, key=lambda iv: (iv.start_row, iv.finish_row))
+        for arrangement in (ordered, ordered[::-1], intervals):
+            _assert_packing_matches_first_fit(arrangement)
+
+    @pytest.mark.parametrize("lanes", [7, 64, 500])
+    def test_deep_stacks(self, lanes):
+        # every interval covers the middle row; later ones reuse freed lanes
+        rng = random.Random(lanes)
+        intervals = [_iv(i, i + lanes, anchor=i) for i in range(lanes)]
+        intervals += [
+            _iv(s, s + rng.randrange(0, lanes), anchor=lanes + j)
+            for j, s in enumerate(rng.choices(range(lanes, 3 * lanes), k=2 * lanes))
+        ]
+        rng.shuffle(intervals)
+        assert pack_intervals(intervals).lane_count >= lanes
+        _assert_packing_matches_first_fit(intervals)
+
+
+class TestBundlesAgainstReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chains_graphs(self, seed):
+        g, d = chains_dag(3 + seed, 60, seed)
+        cls = classify_edges(g, d)
+        rows = draw(g, d).layout.y
+        assert transitive_bundles(g, d, cls, rows) == transitive_bundles_reference(
+            g, d, cls, rows
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_topological_rows(self, seed):
+        # reversed and shuffled rows pin the (min, max) rule of every span
+        g, d = chains_dag(3, 50, seed)
+        cls = classify_edges(g, d)
+        n = g.vertex_count
+        shuffled = list(range(n))
+        random.Random(seed).shuffle(shuffled)
+        for rows in ([n - 1 - v for v in range(n)], shuffled, dict(enumerate(shuffled))):
+            got = transitive_bundles(g, d, cls, rows)
+            assert got == transitive_bundles_reference(g, d, cls, rows)
+            assert any(rows[a] > rows[b] for iv in got for a, b in iv.members)
+
+    def test_many_lane_family(self):
+        g, d = many_lane_dag(60)
+        cls = classify_edges(g, d)
+        rows = draw(g, d).layout.y
+        got = transitive_bundles(g, d, cls, rows)
+        assert got == transitive_bundles_reference(g, d, cls, rows)
+        assert pack_intervals(got).lane_count == 30
+
+
+def _hill_climb_packing(rng: random.Random, lane_count: int) -> LanePacking:
+    """``lane_count`` lanes of random bundles with spans over a few dozen rows."""
+    rows = rng.randrange(8, 40)
+    lanes = []
+    for li in range(lane_count):
+        lane = []
+        for b in range(rng.randrange(1, 4)):
+            spans = []
+            for _ in range(rng.randrange(1, 5)):
+                lo = rng.randrange(rows)
+                spans.append((lo, min(rows, lo + rng.randrange(0, 12))))
+            spans.sort()
+            anchor = 10 * li + b
+            members = tuple((anchor, 1000 + j) for j in range(len(spans)))
+            start = min(lo for lo, _ in spans)
+            finish = max(hi for _, hi in spans)
+            lane.append(_iv(start, finish, anchor=anchor, members=members, spans=tuple(spans)))
+        lanes.append(tuple(lane))
+    return LanePacking(tuple(lanes))
+
+
+class TestLazyClimbAgainstOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hill_climb_stacks(self, seed):
+        rng = random.Random(seed)
+        for lane_count in (7, 9, 13, 20, 40):
+            _assert_reorder_matches_oracle(_hill_climb_packing(rng, lane_count))
+
+    @pytest.mark.parametrize("lane_count", [7, 12, 40])
+    def test_nested_stack_forces_quadratic_swaps(self, lane_count):
+        # nested spans packed widest first: every pair costs one crossing in
+        # the packed order and none reversed, so the climb undoes all
+        # L(L - 1)/2 inversions one adjacent swap at a time
+        intervals = [
+            _iv(i, 2 * lane_count - i, anchor=i, members=((i, 100 + i),))
+            for i in range(lane_count)
+        ]
+        packing = pack_intervals(intervals)
+        assert packing.lanes == tuple((iv,) for iv in intervals)
+        assert stack_crossings(packing.lanes) == lane_count * (lane_count - 1) // 2
+        reordered = reorder_lanes(packing)
+        assert reordered.lanes == packing.lanes[::-1]
+        assert stack_crossings(reordered.lanes) == 0
+        _assert_reorder_matches_oracle(packing)
+

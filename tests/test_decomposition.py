@@ -28,6 +28,14 @@ class TestValidate:
         assert not report.ok
         assert (0, 2) in report.non_edges
 
+    def test_pair_along_a_reversed_edge_reported_apart(self, chain3):
+        # chain3 as the DAG of an input that also had 2 -> 1, flipped away
+        report = validate_decomposition(chain3, PathDecomposition(((2, 1), (0,))), {(2, 1)})
+        assert (report.non_edges, report.reversed_pairs) == ((), ((2, 1),))
+        assert not report.ok
+        other = validate_decomposition(chain3, PathDecomposition(((0, 2), (1,))), {(2, 1)})
+        assert (other.non_edges, other.reversed_pairs) == (((0, 2),), ())
+
     def test_diamond_with_singleton(self, diamond, diamond_paths):
         assert validate_decomposition(diamond, diamond_paths).ok
 

@@ -1,7 +1,8 @@
 """Output bytes pinned by digest.
 
 The SHA-256 of ``layout --svg``, ``--json`` and the ``--metrics`` stdout on
-six seeded graphs, under no flag and under ``--no-bundle-cross``. A change
+six seeded graphs, under no flag and under ``--no-bundle-cross``, and on one
+many-lane graph (a path of 400 with 200 lanes in one stack) under no flag. A change
 meant to keep output identical (a faster loop, a refactor) must leave every
 digest as it is; a change that alters output on purpose updates this table
 and says why.
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from oracles import chains_dag, cyclic_digraph_edges, uniform_dag_edges
+from oracles import chains_dag, cyclic_digraph_edges, many_lane_dag, uniform_dag_edges
 from pathdraw.cli import main
 
 
@@ -26,6 +27,9 @@ def _case(name: str) -> tuple[int, list[tuple[int, int]], tuple | None]:
     if name.startswith("chains-"):
         seed = int(name[-1])
         g, d = chains_dag(4 + seed, 50, seed)
+        return g.vertex_count, list(g.edges), d.paths
+    if name == "many-lane":
+        g, d = many_lane_dag(400)
         return g.vertex_count, list(g.edges), d.paths
     if name == "cyclic-1":
         return 300, cyclic_digraph_edges(300, 600, seed=1), None
@@ -94,6 +98,11 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "svg": "5627f1d077686b36dd8e6ed4e901ca1aa901de9c2116022aa023c34a1a9a3fd2",
         "json": "68854e8505fa43b22761bc0896a9f6ad8f4d118a641653102193f7946798c91f",
         "metrics": "803e5627281f44ab3b7451a4781f2ceaec56452539e8ed1ff0fb3ab5a151bc7b",
+    },
+    ("many-lane", "default"): {
+        "svg": "882f78b2e3906222676a82db9b49a8c1b1da52134b4bcfd377ff73da5ff84afa",
+        "json": "4b8202914dd84cf1b51687c9da729b8a264a89265cdd07904cf9b39bc760d3d4",
+        "metrics": "62af076c15e4ea74bb342945aab95b5ecd9f3b8236be081ded8cef51300437ef",
     },
     ("cyclic-1", "default"): {
         "svg": "49851f798fc631bab2b1bceb0bac1f4b0863bb8cb11b45cb1d288e3693c93042",

@@ -365,6 +365,26 @@ class TestCli:
         paths.write_text("0 2\n1\n")
         assert main(["layout", str(edges), "--paths", str(paths)]) == 2
 
+    def test_path_along_a_reversed_edge_names_the_reversal(self, tmp_path, capsys):
+        # 2 -> 0 closes the cycle and is drawn as 0 -> 2; 2 -> 1 is not an input edge
+        edges = tmp_path / "cycle.edges"
+        edges.write_text("3\n0 1\n1 2\n2 0\n")
+        paths = tmp_path / "cycle.paths"
+        paths.write_text("1 2 0\n")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: stage 'decomposition': invalid decomposition: consecutive pairs "
+            "that are input edges reversed by cycle removal (2, 0)\n"
+        )
+        paths.write_text("2 0 1\n")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        assert "not edges (2, 0)" not in capsys.readouterr().err
+        paths.write_text("0 2 1\n")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        assert capsys.readouterr().err.endswith("consecutive pairs that are not edges (2, 1)\n")
+
     @pytest.mark.parametrize("text", ["2\n0 \u00b2\n", "2\n0 \u0661\n", "\u00b2\n0 1\n"])
     def test_non_ascii_digits_in_edge_list_exit_2(self, tmp_path, capsys, text):
         edges = tmp_path / "g.edges"
