@@ -18,21 +18,15 @@ from itertools import permutations
 from operator import attrgetter
 
 from .decomposition import EdgeClassification, PathDecomposition
-from .graph import DiGraph
-
-INCOMING, OUTGOING = "incoming", "outgoing"
-LEFT, RIGHT = "left", "right"
 
 
 @dataclass(frozen=True)
 class BundleInterval:
     path_index: int
     anchor: int
-    direction: str
     members: tuple[tuple[int, int], ...]
     start_row: int
     finish_row: int
-    side: str
     # row span of each member's trunk leg, parallel to members
     member_spans: tuple[tuple[int, int], ...] = ()
 
@@ -47,7 +41,6 @@ class LanePacking:
 
 
 def transitive_bundles(
-    g: DiGraph,
     d: PathDecomposition,
     classification: EdgeClassification,
     rows: dict[int, int] | list[int],
@@ -57,8 +50,8 @@ def transitive_bundles(
     Repeatedly pick the vertex with the highest remaining transitive
     indegree or outdegree (ties: lower vertex id, then incoming before
     outgoing), bundle those edges into one interval, drop them, and update
-    degrees. ``rows`` is the compacted vertical placement. Intervals of the
-    rightmost path go on its right side; all others go left. The
+    degrees. ``rows`` is the compacted vertical placement, one row per
+    vertex. Intervals come out path by path, in path order. The
     transitive edges are bucketed by path in one pass and a lazy-deletion
     max-heap picks the anchors. An extraction empties the anchor's set and
     takes each member out of one set of its other endpoint, and only that
@@ -67,17 +60,11 @@ def transitive_bundles(
     t log t) for t transitive edges.
     """
     out: list[BundleInterval] = []
-    last = d.path_count - 1
-    path_of: dict[int, int] = {}
-    for pi, path in enumerate(d.paths):
-        for v in path:
-            path_of[v] = pi
-    # one pass sorts the transitive edges into per-path buckets
+    path_of = d.path_of(len(rows))
+    # both ends of a transitive edge are on one path
     buckets: list[list[tuple[int, int]]] = [[] for _ in d.paths]
-    for u, v in classification.transitive_edges:
-        pi = path_of.get(u)
-        if pi is not None and path_of.get(v) == pi:
-            buckets[pi].append((u, v))
+    for e in classification.transitive_edges:
+        buckets[path_of[e[0]]].append(e)
     for pi, path in enumerate(d.paths):
         remaining = buckets[pi]
         if not remaining:
@@ -95,7 +82,6 @@ def transitive_bundles(
             if outdeg[v]:
                 heap.append((-len(outdeg[v]), v, 1))
         heapify(heap)
-        side = RIGHT if pi == last else LEFT
         while heap:
             neg, v, which = heappop(heap)
             edges = indeg[v] if which == 0 else outdeg[v]
@@ -124,11 +110,9 @@ def transitive_bundles(
                 BundleInterval(
                     path_index=pi,
                     anchor=v,
-                    direction=INCOMING if which == 0 else OUTGOING,
                     members=members,
                     start_row=start,
                     finish_row=finish,
-                    side=side,
                     member_spans=tuple(spans),
                 )
             )

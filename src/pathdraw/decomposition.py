@@ -11,7 +11,7 @@ edge joins vertices of different paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import DiGraph, topo_sort
 
@@ -27,6 +27,44 @@ class PathDecomposition:
     @property
     def path_count(self) -> int:
         return len(self.paths)
+
+    def path_of(self, n: int) -> list[int]:
+        """Each vertex's path: ``path_of(n)[v]`` is the index of v's path.
+
+        Raises DecompositionError naming the missing, repeated and
+        out-of-range vertices unless the paths partition 0..n-1. The index
+        is built on the first call and kept, so every stage of a drawing
+        reads the same list; callers must not modify it.
+        """
+        index = self.__dict__.get("_path_of")
+        if index is None or len(index) != n:
+            index, report = self._index(n)
+            if not report.ok:
+                raise DecompositionError(f"not a partition of the vertices: {report.describe()}")
+            # a frozen dataclass takes attributes only through object.__setattr__
+            object.__setattr__(self, "_path_of", index)
+        return index
+
+    def _index(self, n: int) -> tuple[list[int], ValidationReport]:
+        """Each vertex's path index (-1 for none) and how the paths fail to
+        partition 0..n-1."""
+        index = [-1] * n
+        repeated: set[int] = set()
+        outside: set[int] = set()
+        for pi, path in enumerate(self.paths):
+            for v in path:
+                if not 0 <= v < n:
+                    outside.add(v)
+                elif index[v] != -1:
+                    repeated.add(v)
+                else:
+                    index[v] = pi
+        report = ValidationReport(
+            missing=tuple(v for v, pi in enumerate(index) if pi == -1),
+            duplicated=tuple(sorted(repeated)),
+            out_of_range=tuple(sorted(outside)),
+        )
+        return index, report
 
 
 @dataclass(frozen=True)
@@ -86,48 +124,29 @@ def validate_decomposition(
     an edge of g but is in ``reversed_edges`` (the input edges that cycle
     removal flipped to make g) is reported as such, not as a non-edge.
     """
-    seen: set[int] = set()
-    duplicated: list[int] = []
-    out_of_range: list[int] = []
+    n = g.vertex_count
+    _, report = d._index(n)
     non_edges: list[tuple[int, int]] = []
     reversed_pairs: list[tuple[int, int]] = []
     for path in d.paths:
-        for v in path:
-            if not (0 <= v < g.vertex_count):
-                out_of_range.append(v)
-                continue
-            if v in seen:
-                duplicated.append(v)
-            seen.add(v)
         for u, v in zip(path, path[1:]):
-            if 0 <= u < g.vertex_count and 0 <= v < g.vertex_count and not g.has_edge(u, v):
+            if 0 <= u < n and 0 <= v < n and not g.has_edge(u, v):
                 (reversed_pairs if (u, v) in reversed_edges else non_edges).append((u, v))
-    missing = [v for v in range(g.vertex_count) if v not in seen]
-    return ValidationReport(
-        missing=tuple(missing),
-        duplicated=tuple(sorted(set(duplicated))),
-        non_edges=tuple(non_edges),
-        out_of_range=tuple(sorted(set(out_of_range))),
-        reversed_pairs=tuple(reversed_pairs),
-    )
+    return replace(report, non_edges=tuple(non_edges), reversed_pairs=tuple(reversed_pairs))
 
 
 def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     """Partition the edge set into path / transitive / cross edges."""
-    path_idx = [0] * g.vertex_count
-    order_idx = [0] * g.vertex_count
-    for pi, path in enumerate(d.paths):
-        for j, v in enumerate(path):
-            path_idx[v] = pi
-            order_idx[v] = j
+    path_of = d.path_of(g.vertex_count)
+    steps = {e for path in d.paths for e in zip(path, path[1:])}
     path_edges: set[tuple[int, int]] = set()
     transitive: set[tuple[int, int]] = set()
     cross: set[tuple[int, int]] = set()
     for e in g.edges:
         u, v = e
-        if path_idx[u] != path_idx[v]:
+        if path_of[u] != path_of[v]:
             cross.add(e)
-        elif order_idx[v] == order_idx[u] + 1:
+        elif e in steps:
             path_edges.add(e)
         else:
             transitive.add(e)

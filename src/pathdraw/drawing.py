@@ -11,16 +11,10 @@ transitive lanes, then the spine itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
-from .bundling import (
-    LEFT,
-    RIGHT,
-    BundleInterval,
-    LanePacking,
-    pack_intervals,
-    reorder_lanes,
-    transitive_bundles,
-)
+from .bundling import LanePacking, pack_intervals, reorder_lanes, transitive_bundles
 from .decomposition import PathDecomposition, classify_edges
 from .graph import DiGraph, TopoOrder, topo_sort
 from .layout import (
@@ -69,16 +63,19 @@ def draw(
     is off, in which case each vertex keeps its rank as its row. Disabling
     ``bundle_transitive_edges`` hides transitive edges entirely (empty
     routes, no lanes); disabling ``bundle_cross_incoming`` keeps every cross
-    edge on its own lane occupancy.
+    edge on its own lane occupancy. Raises DecompositionError unless the
+    paths of ``d`` partition the vertices of ``g``.
     """
     if t is None:
         t = topo_sort(g)
-    cls = classify_edges(g, d)
     n = g.vertex_count
+    path_of = d.path_of(n)
+    cls = classify_edges(g, d)
     # dense ids let the hot loops run on lists instead of dicts
     y: list[int] = [0] * n
     if compact_rows:
-        # one row above the highest predecessor, visiting in rank order
+        # row = 1 + the largest predecessor row, visiting in rank order, so
+        # sources are on row 0
         order = [0] * n
         for v, r in t.rank.items():
             order[r] = v
@@ -92,21 +89,14 @@ def draw(
         for v, r in t.rank.items():
             y[v] = r
     k = d.path_count
-    path_of: list[int] = [0] * n
-    for pi, path in enumerate(d.paths):
-        for v in path:
-            path_of[v] = pi
 
-    trans_packings: dict[tuple[int, str], LanePacking] = {}
+    # one stack per path with transitive edges: the last path's on its
+    # right, every other path's on its left
+    trans_packings: dict[int, LanePacking] = {}
     if bundle_transitive_edges:
-        groups: dict[tuple[int, str], list[BundleInterval]] = {}
-        for iv in transitive_bundles(g, d, cls, y):
-            groups.setdefault((iv.path_index, iv.side), []).append(iv)
-        for key in sorted(groups):
-            packing = pack_intervals(groups[key])
-            if reorder:
-                packing = reorder_lanes(packing)
-            trans_packings[key] = packing
+        for pi, stack in groupby(transitive_bundles(d, cls, y), attrgetter("path_index")):
+            packing = pack_intervals(stack)
+            trans_packings[pi] = reorder_lanes(packing) if reorder else packing
 
     # one sort serves the occupant grouping and the route loop below
     edges = sorted(g.edges)
@@ -122,8 +112,24 @@ def draw(
     # Dense column grid, left to right. Lanes are numbered outward from
     # their spine: lane li of a gap or left stack sits li columns left of the
     # lane beside the spine, lane li of the right stack li columns right.
+    # Transitive records come out ordered by (path, lane, row), since a
+    # packing lists its intervals lane by lane in start-row order.
+    records: list[BundleRecord] = []
+    member_lane: dict[tuple[int, int], int] = {}
+
+    def stack_records(packing: LanePacking, beside: int, step: int) -> None:
+        """Records for one transitive stack, whose lane li is at beside + step * li."""
+        for li, lane in enumerate(packing.lanes):
+            lx = beside + step * li
+            for iv in lane:
+                span = (iv.start_row, iv.finish_row)
+                records.append(
+                    BundleRecord(len(records), "transitive", iv.anchor, lx, span, iv.members)
+                )
+                for e in iv.members:
+                    member_lane[e] = lx
+
     spine_x: list[int] = [0] * k
-    trans_lane_end: dict[tuple[int, str], int] = {}
     column_meta: dict[int, str] = {}
     cross_edge_lane: dict[tuple[int, int], int] = {}
     # one (target, lane column, span, members) per shared trunk
@@ -143,48 +149,25 @@ def draw(
                     if occ.kind == BUNDLE:
                         span = (occ.start_row, occ.finish_row)
                         cross_trunks.append((occ.target, lx, span, occ.members))
-        tp = trans_packings.get((i, LEFT))
-        if tp is not None:
+        tp = trans_packings.get(i)
+        if tp is not None and i < k - 1:
             for c in range(col, col + tp.lane_count):
                 column_meta[c] = COL_LANE_LEFT
             col += tp.lane_count
-            trans_lane_end[(i, LEFT)] = col - 1
+            stack_records(tp, col - 1, -1)
         spine_x[i] = col
         column_meta[col] = COL_SPINE
         col += 1
-    tp = trans_packings.get((k - 1, RIGHT)) if k else None
+    tp = trans_packings.get(k - 1)
     if tp is not None:
-        trans_lane_end[(k - 1, RIGHT)] = col
         for c in range(col, col + tp.lane_count):
             column_meta[c] = COL_LANE_RIGHT
-
-    x: list[int] = [0] * n
-    for pi, path in enumerate(d.paths):
-        sx = spine_x[pi]
-        for v in path:
-            x[v] = sx
-
-    # trans_packings is keyed in column order and each packing lists its
-    # intervals lane by lane, in start-row order (a lane's intervals are
-    # disjoint), so the records come out ordered by (path, side, lane, row)
-    member_lane: dict[tuple[int, int], int] = {}
-    records: list[BundleRecord] = []
-    for (pi, side), packing in sorted(trans_packings.items()):
-        end = trans_lane_end[(pi, side)]
-        step = 1 if side == RIGHT else -1
-        for li, lane in enumerate(packing.lanes):
-            lx = end + step * li
-            for iv in lane:
-                span = (iv.start_row, iv.finish_row)
-                records.append(
-                    BundleRecord(len(records), "transitive", iv.anchor, lx, span, iv.members)
-                )
-                for e in iv.members:
-                    member_lane[e] = lx
+        stack_records(tp, col, 1)
     # a target has at most one trunk, so the tuples sort by target alone
     for v, lx, span, members in sorted(cross_trunks):
         records.append(BundleRecord(len(records), "cross", v, lx, span, members))
 
+    x = [spine_x[pi] for pi in path_of]
     position: list[Point] = list(zip(x, y))
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
     category: dict[tuple[int, int], str] = {}

@@ -23,17 +23,9 @@ class DiGraph:
     _pred: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
 
     @classmethod
-    def build(
-        cls,
-        vertex_count: int,
-        edges,
-        dedupe: bool = False,
-    ) -> "DiGraph":
-        """Construct a graph, rejecting self-loops and out-of-range ids.
-
-        Duplicate edge pairs are rejected unless ``dedupe`` is set, in which
-        case they are collapsed to one.
-        """
+    def build(cls, vertex_count: int, edges) -> "DiGraph":
+        """Construct a graph, rejecting self-loops, duplicate edge pairs and
+        out-of-range ids."""
         if vertex_count < 0:
             raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
         seen: set[tuple[int, int]] = set()
@@ -44,8 +36,6 @@ class DiGraph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if (u, v) in seen:
-                if dedupe:
-                    continue
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             clean.append((u, v))

@@ -3,9 +3,9 @@
 Coordinates are integer grid cells. Row 0 is the top of the rendered output
 and every edge runs from a lower to a higher row. ``draw`` places the rows:
 without compaction each vertex sits at the row of its topological rank
-(height n-1); with it each vertex sits one row below its highest
-predecessor, which brings the height down to the longest-path length
-exactly.
+(height n-1); with it each vertex's row is 1 + the largest row of its
+predecessors and sources are on row 0, which brings the height down to the
+longest-path length exactly.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def _diagonal_meets_horizontals(
 def count_bends(layout: Layout) -> int:
     """Interior polyline corners, summed over all drawn routes."""
     total = 0
-    for _, route in sorted(layout.routes.items()):
+    for route in layout.routes.values():
         for i in range(1, len(route) - 1):
             if orientation(route[i - 1], route[i], route[i + 1]) != 0:
                 total += 1

@@ -328,8 +328,9 @@ def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]
     """Back edges of a DFS with (vertex, index) frames, then flip and dedupe.
 
     Returns the DAG's edges, its successor and predecessor tuples and the
-    reversed set, as the cycle removal that rebuilt the graph through
-    ``DiGraph.build(..., dedupe=True)`` produced them.
+    reversed set. A flipped edge that meets an edge already kept, its
+    reverse from a 2-cycle, is dropped, so each DAG edge keeps the position
+    of its first occurrence in the input order.
     """
     n = g.vertex_count
     succ, _ = adjacency_reference(n, g.edges)
@@ -487,10 +488,9 @@ def pack_intervals_first_fit(intervals) -> LanePacking:
     return LanePacking(tuple(map(tuple, lanes)))
 
 
-def transitive_bundles_reference(g: DiGraph, d: PathDecomposition, classification, rows):
+def transitive_bundles_reference(d: PathDecomposition, classification, rows):
     """Greedy bundle extraction that re-pushes both degrees of every touched vertex."""
     out = []
-    last = d.path_count - 1
     path_of = {v: pi for pi, path in enumerate(d.paths) for v in path}
     for pi, path in enumerate(d.paths):
         remaining = [
@@ -519,11 +519,9 @@ def transitive_bundles_reference(g: DiGraph, d: PathDecomposition, classificatio
                 BundleInterval(
                     path_index=pi,
                     anchor=v,
-                    direction="incoming" if which == 0 else "outgoing",
                     members=members,
                     start_row=min(member_rows),
                     finish_row=max(member_rows),
-                    side="right" if pi == last else "left",
                     member_spans=tuple(
                         (min(rows[a], rows[b]), max(rows[a], rows[b])) for a, b in members
                     ),

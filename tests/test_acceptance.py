@@ -88,11 +88,9 @@ def test_criterion_03_interval_packing_optimality():
             BundleInterval(
                 path_index=0,
                 anchor=i,
-                direction="outgoing",
                 members=((i, 1000 + i),),
                 start_row=s,
                 finish_row=f,
-                side="left",
                 member_spans=((s, f),),
             )
             for i, (s, f) in enumerate(spans)
@@ -159,22 +157,28 @@ def test_criterion_06_scaling_trend():
     # Growth *trend* per doubling: the geometric-mean ratio across the size
     # ladder must stay <= 2.5 (a quadratic stage would push it past 4).
     # Raw consecutive ratios are also bounded, loosely enough that the
-    # host's memory hierarchy cannot fail a linear implementation.
+    # host's memory hierarchy cannot fail a linear implementation. The
+    # sizes are timed round-robin, so a drift in core speed spreads over
+    # every size instead of landing on one.
     import gc
 
     _cache.pop("suite", None)  # shrink the ambient heap before timing
     gc.collect()
     start = time.perf_counter()
     sizes = (1000, 2000, 4000, 8000)
-    medians = []
+    inputs = []
     for n in sizes:
-        per_seed = []
         for seed in range(1, 8):
             g = generate_random_dag(n, 1.6, seed)
-            cover = min_path_cover(remove_cycles(g).dag)
-            per_seed.append(min(_timed_drawing_window(g, cover) for _ in range(5)))
-            del g, cover
-        medians.append(median(per_seed))
+            inputs.append((g, min_path_cover(remove_cycles(g).dag)))
+    best = [float("inf")] * len(inputs)
+    for _ in range(5):
+        for seed in range(7):
+            for size_index in range(len(sizes)):
+                i = 7 * size_index + seed
+                best[i] = min(best[i], _timed_drawing_window(*inputs[i]))
+    del inputs
+    medians = [median(best[7 * s : 7 * s + 7]) for s in range(len(sizes))]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]

