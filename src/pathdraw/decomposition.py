@@ -32,22 +32,21 @@ class PathDecomposition:
         """Each vertex's path: ``path_of(n)[v]`` is the index of v's path.
 
         Raises DecompositionError naming the missing, repeated and
-        out-of-range vertices unless the paths partition 0..n-1. The index
-        is built on the first call and kept, so every stage of a drawing
-        reads the same list; callers must not modify it.
+        out-of-range vertices unless the paths partition 0..n-1. Every
+        stage of a drawing reads the same list; callers must not modify it.
         """
-        index = self.__dict__.get("_path_of")
-        if index is None or len(index) != n:
-            index, report = self._index(n)
-            if not report.ok:
-                raise DecompositionError(f"not a partition of the vertices: {report.describe()}")
-            # a frozen dataclass takes attributes only through object.__setattr__
-            object.__setattr__(self, "_path_of", index)
+        index, report = self._index(n)
+        if not report.ok:
+            raise DecompositionError(f"not a partition of the vertices: {report.describe()}")
         return index
 
     def _index(self, n: int) -> tuple[list[int], ValidationReport]:
         """Each vertex's path index (-1 for none) and how the paths fail to
-        partition 0..n-1."""
+        partition 0..n-1. Built on the first call for an n and kept, so
+        validation and drawing walk the paths once."""
+        cached = self.__dict__.get("_partition")
+        if cached is not None and cached[0] == n:
+            return cached[1], cached[2]
         index = [-1] * n
         repeated: set[int] = set()
         outside: set[int] = set()
@@ -64,6 +63,8 @@ class PathDecomposition:
             duplicated=tuple(sorted(repeated)),
             out_of_range=tuple(sorted(outside)),
         )
+        # a frozen dataclass takes attributes only through object.__setattr__
+        object.__setattr__(self, "_partition", (n, index, report))
         return index, report
 
 

@@ -1,11 +1,14 @@
 """Final grid assembly: lane columns, route polylines, bundle records.
 
-One pass lays out the whole drawing: spines get their paths' vertices,
-transitive bundle stacks sit beside their spines (left everywhere, right of
-the last spine), cross-edge lanes fill the gap immediately left of each
-target spine, and every column is re-indexed onto a dense integer grid.
-Gaps are ordered left-to-right as cross lanes, then the next spine's
-transitive lanes, then the spine itself.
+One pass lays out the whole drawing on a dense integer grid, left to right.
+A stack of lanes, whether the cross-edge lanes of a gap or the transitive
+lanes of a path, is placed by one routine: it numbers the lanes outward
+from the spine and records the column of every member edge. Per path come
+its gap (the lanes of cross edges into that path), its transitive stack
+unless it is the last path, and its spine; the last path's stack sits
+right of its spine. Every route is read off the edge -> column map. A gap
+occupant with two or more members is a shared trunk and gets a bundle
+record; a lone edge's occupant gets none.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from .bundling import LanePacking, pack_intervals, reorder_lanes, transitive_bundles
+from .bundling import BundleInterval, LanePacking, pack_intervals, reorder_lanes, transitive_bundles
 from .decomposition import PathDecomposition, classify_edges
 from .graph import DiGraph, TopoOrder, topo_sort
 from .layout import (
@@ -28,7 +31,7 @@ from .layout import (
     Layout,
     Point,
 )
-from .routing import BUNDLE, gap_occupants
+from .routing import GapOccupant, gap_occupants
 
 
 @dataclass(frozen=True)
@@ -101,71 +104,64 @@ def draw(
     # one sort serves the occupant grouping and the route loop below
     edges = sorted(g.edges)
     cross_set = cls.cross_edges
-    cross_packings: dict[int, LanePacking] = {}
-    for gap, occupants in sorted(
-        gap_occupants(
+    cross_packings = {
+        gap: pack_intervals(occupants)
+        for gap, occupants in gap_occupants(
             y, path_of, [e for e in edges if e in cross_set], bundle_cross_incoming
         ).items()
-    ):
-        cross_packings[gap] = pack_intervals(occupants)
+    }
 
-    # Dense column grid, left to right. Lanes are numbered outward from
-    # their spine: lane li of a gap or left stack sits li columns left of the
-    # lane beside the spine, lane li of the right stack li columns right.
-    # Transitive records come out ordered by (path, lane, row), since a
-    # packing lists its intervals lane by lane in start-row order.
-    records: list[BundleRecord] = []
-    member_lane: dict[tuple[int, int], int] = {}
+    # Dense column grid, left to right: one tag per column, and the column
+    # of every edge that rides a lane.
+    tags: list[str] = []
+    lane_of: dict[tuple[int, int], int] = {}
 
-    def stack_records(packing: LanePacking, beside: int, step: int) -> None:
-        """Records for one transitive stack, whose lane li is at beside + step * li."""
+    def place(
+        packing: LanePacking, tag: str, leftward: bool
+    ) -> list[tuple[int, BundleInterval | GapOccupant]]:
+        """Append one stack's columns and return its (column, interval) pairs.
+
+        Lanes are numbered outward from the spine: lane li sits li columns
+        left of the lane beside the spine for a gap or left stack, li
+        columns right of it for the right stack. Pairs come lane by lane,
+        each lane's intervals in start-row order.
+        """
+        base = len(tags)
+        count = packing.lane_count
+        tags.extend([tag] * count)
+        placed = []
         for li, lane in enumerate(packing.lanes):
-            lx = beside + step * li
-            for iv in lane:
-                span = (iv.start_row, iv.finish_row)
-                records.append(
-                    BundleRecord(len(records), "transitive", iv.anchor, lx, span, iv.members)
-                )
-                for e in iv.members:
-                    member_lane[e] = lx
+            column = base + count - 1 - li if leftward else base + li
+            for item in lane:
+                for e in item.members:
+                    lane_of[e] = column
+                placed.append((column, item))
+        return placed
 
+    # per path: cross lanes, its transitive stack unless it is the last
+    # path, its spine; the last path's stack then goes right of its spine
+    stacks: list[tuple[int, BundleInterval]] = []
+    trunks: list[tuple[int, GapOccupant]] = []
     spine_x: list[int] = [0] * k
-    column_meta: dict[int, str] = {}
-    cross_edge_lane: dict[tuple[int, int], int] = {}
-    # one (target, lane column, span, members) per shared trunk
-    cross_trunks: list[tuple] = []
-    col = 0
     for i in range(k):
-        cp = cross_packings.get(i)
-        if cp is not None:
-            for c in range(col, col + cp.lane_count):
-                column_meta[c] = COL_CROSS
-            col += cp.lane_count
-            for li, lane_items in enumerate(cp.lanes):
-                lx = col - 1 - li
-                for occ in lane_items:
-                    for e in occ.members:
-                        cross_edge_lane[e] = lx
-                    if occ.kind == BUNDLE:
-                        span = (occ.start_row, occ.finish_row)
-                        cross_trunks.append((occ.target, lx, span, occ.members))
-        tp = trans_packings.get(i)
-        if tp is not None and i < k - 1:
-            for c in range(col, col + tp.lane_count):
-                column_meta[c] = COL_LANE_LEFT
-            col += tp.lane_count
-            stack_records(tp, col - 1, -1)
-        spine_x[i] = col
-        column_meta[col] = COL_SPINE
-        col += 1
-    tp = trans_packings.get(k - 1)
-    if tp is not None:
-        for c in range(col, col + tp.lane_count):
-            column_meta[c] = COL_LANE_RIGHT
-        stack_records(tp, col, 1)
-    # a target has at most one trunk, so the tuples sort by target alone
-    for v, lx, span, members in sorted(cross_trunks):
-        records.append(BundleRecord(len(records), "cross", v, lx, span, members))
+        if i in cross_packings:
+            placed = place(cross_packings[i], COL_CROSS, True)
+            trunks += [(column, occ) for column, occ in placed if len(occ.members) > 1]
+        if i in trans_packings and i < k - 1:
+            stacks += place(trans_packings[i], COL_LANE_LEFT, True)
+        spine_x[i] = len(tags)
+        tags.append(COL_SPINE)
+    if k - 1 in trans_packings:
+        stacks += place(trans_packings[k - 1], COL_LANE_RIGHT, False)
+    # Transitive records come out ordered by (path, lane, row); cross
+    # records, one per shared trunk, by target, since a target has one trunk.
+    trunks.sort(key=lambda placed: placed[1].target)
+    bundles = [("transitive", iv.anchor, column, iv) for column, iv in stacks]
+    bundles += [("cross", occ.target, column, occ) for column, occ in trunks]
+    records = tuple(
+        BundleRecord(i, kind, anchor, column, (item.start_row, item.finish_row), item.members)
+        for i, (kind, anchor, column, item) in enumerate(bundles)
+    )
 
     x = [spine_x[pi] for pi in path_of]
     position: list[Point] = list(zip(x, y))
@@ -174,35 +170,24 @@ def draw(
     path_set = cls.path_edges
     for e in edges:
         u, v = e
-        if e in path_set:
-            category[e] = PATH
-            routes[e] = (position[u], position[v])
-        elif e in cross_set:
-            category[e] = CROSS
-            # one bend per point between the endpoints
-            dy = y[v] - y[u]
-            if dy == 1:
-                routes[e] = (position[u], position[v])
-            else:
-                lane = cross_edge_lane[e]
-                if dy == 2:
-                    routes[e] = (position[u], (lane, y[u]), position[v])
-                else:
-                    routes[e] = (position[u], (lane, y[u]), (lane, y[v]), position[v])
+        kind = PATH if e in path_set else CROSS if e in cross_set else TRANSITIVE
+        category[e] = kind
+        lane = lane_of.get(e)
+        if lane is None:
+            # path edges and one-row cross edges run straight; transitive
+            # edges have no lane only when they are hidden
+            routes[e] = () if kind == TRANSITIVE else (position[u], position[v])
+        elif kind == CROSS and y[v] - y[u] == 2:
+            routes[e] = (position[u], (lane, y[u]), position[v])
         else:
-            category[e] = TRANSITIVE
-            if bundle_transitive_edges:
-                lx = member_lane[e]
-                routes[e] = (position[u], (lx, y[u]), (lx, y[v]), position[v])
-            else:
-                routes[e] = ()
+            routes[e] = (position[u], (lane, y[u]), (lane, y[v]), position[v])
 
     final = Layout(
         x=dict(enumerate(x)),
         y=dict(enumerate(y)),
         routes=routes,
         category=category,
-        column_meta=column_meta,
+        column_meta=dict(enumerate(tags)),
         paths=d.paths,
     )
-    return Drawing(layout=final, bundles=tuple(records))
+    return Drawing(layout=final, bundles=records)

@@ -5,7 +5,8 @@ endpoints: none at distance one (a straight, possibly diagonal segment),
 one at distance two (corner on a gap lane), two beyond that (a vertical
 trunk leg on a gap lane). Incoming cross edges of one vertex, except those
 at distance one, may share a trunk placed in the gap immediately left of
-the target's path.
+the target's path. Each gap occupant is either such a trunk, which has two
+or more members, or the lane of one lone edge.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-BUNDLE, SINGLE = "bundle", "edge"
-
 
 class GapOccupant(NamedTuple):
-    """One packed item in an inter-path gap: a shared trunk or a lone route."""
+    """One packed item in an inter-path gap: a shared trunk (two or more
+    members) or a lone route."""
 
-    kind: str
     start_row: int
     finish_row: int
     target: int
@@ -61,7 +60,7 @@ def gap_occupants(
                     lo = row
                 elif row > hi:
                     hi = row
-            occupants[path_of[v]].append(GapOccupant(BUNDLE, lo, hi, v, tuple(edges)))
+            occupants[path_of[v]].append(GapOccupant(lo, hi, v, tuple(edges)))
         # a filter of the sorted list stays sorted
         singles = [e for e in qualifying if len(by_target[e[1]]) < 2]
     for e in singles:
@@ -71,5 +70,5 @@ def gap_occupants(
             lo, hi = hi, lo
         if hi - lo == 2:
             hi = lo  # only the corner row occupies the lane
-        occupants[path_of[v]].append(GapOccupant(SINGLE, lo, hi, v, (e,)))
+        occupants[path_of[v]].append(GapOccupant(lo, hi, v, (e,)))
     return dict(occupants)

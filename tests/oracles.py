@@ -365,7 +365,11 @@ def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]
 
 
 def gap_occupants_reference(rows, path_of, cross_edges, bundle_incoming: bool) -> dict:
-    """Per-gap occupants as (kind, start_row, finish_row, target, members)."""
+    """Per-gap occupants as (start_row, finish_row, target, members).
+
+    A shared trunk is an occupant with two or more members; a lone edge's
+    occupant has one.
+    """
     by_target: dict[int, list[tuple[int, int]]] = {}
     singles: list[tuple[int, int]] = []
     for u, v in sorted(cross_edges):
@@ -381,14 +385,14 @@ def gap_occupants_reference(rows, path_of, cross_edges, bundle_incoming: bool) -
         if len(edges) >= 2:
             spans = [rows[u] for u, _ in edges] + [rows[v]]
             occupants.setdefault(path_of[v], []).append(
-                ("bundle", min(spans), max(spans), v, tuple(edges))
+                (min(spans), max(spans), v, tuple(edges))
             )
         else:
             singles.extend(edges)
     for u, v in sorted(singles):
         lo, hi = sorted((rows[u], rows[v]))
         span = (lo, lo) if hi - lo == 2 else (lo, hi)
-        occupants.setdefault(path_of[v], []).append(("edge", span[0], span[1], v, ((u, v),)))
+        occupants.setdefault(path_of[v], []).append((span[0], span[1], v, ((u, v),)))
     return occupants
 
 

@@ -153,33 +153,40 @@ def _timed_drawing_window(g, cover) -> float:
         gc.enable()
 
 
-def test_criterion_06_scaling_trend():
-    # Growth *trend* per doubling: the geometric-mean ratio across the size
-    # ladder must stay <= 2.5 (a quadratic stage would push it past 4).
-    # Raw consecutive ratios are also bounded, loosely enough that the
-    # host's memory hierarchy cannot fail a linear implementation. The
-    # sizes are timed round-robin, so a drift in core speed spreads over
-    # every size instead of landing on one.
+def _growth(make, sizes, seeds, repeats) -> tuple[list[float], float]:
+    """Each size's median, over seeds, of the drawing window on
+    ``make(size, seed)``, and the wall time taken.
+
+    Every input is built first. Each of ``repeats`` rounds then visits each
+    seed at every size in turn, and each input keeps the minimum of its
+    times, so a drift in core speed spreads over every size instead of
+    landing on one.
+    """
     import gc
 
     _cache.pop("suite", None)  # shrink the ambient heap before timing
     gc.collect()
     start = time.perf_counter()
+    inputs = [[make(n, seed) for seed in seeds] for n in sizes]
+    best = [[float("inf")] * len(seeds) for _ in sizes]
+    for _ in range(repeats):
+        for j in range(len(seeds)):
+            for i, row in enumerate(inputs):
+                best[i][j] = min(best[i][j], _timed_drawing_window(*row[j]))
+    return [median(times) for times in best], time.perf_counter() - start
+
+
+def test_criterion_06_scaling_trend():
+    # Growth *trend* per doubling: the geometric-mean ratio across the size
+    # ladder must stay <= 2.5 (a quadratic stage would push it past 4).
+    # Raw consecutive ratios are also bounded, loosely enough that the
+    # host's memory hierarchy cannot fail a linear implementation.
+    def make(n, seed):
+        g = generate_random_dag(n, 1.6, seed)
+        return g, min_path_cover(remove_cycles(g).dag)
+
     sizes = (1000, 2000, 4000, 8000)
-    inputs = []
-    for n in sizes:
-        for seed in range(1, 8):
-            g = generate_random_dag(n, 1.6, seed)
-            inputs.append((g, min_path_cover(remove_cycles(g).dag)))
-    best = [float("inf")] * len(inputs)
-    for _ in range(5):
-        for seed in range(7):
-            for size_index in range(len(sizes)):
-                i = 7 * size_index + seed
-                best[i] = min(best[i], _timed_drawing_window(*inputs[i]))
-    del inputs
-    medians = [median(best[7 * s : 7 * s + 7]) for s in range(len(sizes))]
-    elapsed = time.perf_counter() - start
+    medians, elapsed = _growth(make, sizes, range(1, 8), 5)
     assert elapsed < 60.0
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     per_doubling = (medians[-1] / medians[0]) ** (1 / (len(sizes) - 1))
@@ -199,21 +206,10 @@ def test_criterion_11_chains_scaling_trend():
     # drawing time. The same window as criterion 06 must grow by at most
     # 3.0 per doubling of the chain length; an all-pairs lane-pair count
     # grows past it.
-    import gc
-
-    _cache.pop("suite", None)
-    gc.collect()
-    start = time.perf_counter()
     lengths = (250, 500, 1000, 2000)
-    medians = []
-    for length in lengths:
-        per_seed = []
-        for seed in range(1, 4):
-            g, d = chains_dag(4, length, seed)
-            per_seed.append(min(_timed_drawing_window(g, d) for _ in range(3)))
-            del g, d
-        medians.append(median(per_seed))
-    elapsed = time.perf_counter() - start
+    medians, elapsed = _growth(
+        lambda length, seed: chains_dag(4, length, seed), lengths, range(1, 4), 3
+    )
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     per_doubling = (medians[-1] / medians[0]) ** (1 / (len(lengths) - 1))
     assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
@@ -226,25 +222,14 @@ def test_criterion_11_chains_scaling_trend():
     )
 
 
-
 def test_criterion_12_many_lane_scaling_trend():
     # One path of n vertices with skip edges i -> i + n/2: every skip edge
     # is its own bundle and all of them share the middle rows, so one stack
     # holds n/2 lanes. The same window as criterion 06 must grow by at most
     # 3.0 per doubling of n; a lane-by-lane packing scan or an all-pairs
     # lane-pair count is quadratic in the lanes and grows past it.
-    import gc
-
-    _cache.pop("suite", None)
-    gc.collect()
-    start = time.perf_counter()
     sizes = (500, 1000, 2000, 4000)
-    times = []
-    for n in sizes:
-        g, d = many_lane_dag(n)
-        times.append(min(_timed_drawing_window(g, d) for _ in range(5)))
-        del g, d
-    elapsed = time.perf_counter() - start
+    times, elapsed = _growth(lambda n, _: many_lane_dag(n), sizes, (None,), 5)
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     per_doubling = (times[-1] / times[0]) ** (1 / (len(sizes) - 1))
     assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
@@ -255,6 +240,7 @@ def test_criterion_12_many_lane_scaling_trend():
         f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
         f"on one path of 500..4000 with n/2 lanes ({elapsed:.1f}s)",
     )
+
 
 def test_criterion_07_hiding_transitive_preserves_positions():
     for g, d, drawing in _suite():

@@ -65,6 +65,20 @@ class TestDrawNeedsPartition:
         with pytest.raises(DecompositionError, match=re.escape(named)):
             draw(diamond, PathDecomposition(paths))
 
+    def test_validation_and_drawing_walk_the_paths_once(self, diamond):
+        class CountingPaths(tuple):
+            walks = 0
+
+            def __iter__(self):
+                CountingPaths.walks += 1
+                return super().__iter__()
+
+        d = PathDecomposition(CountingPaths(((0, 1, 3), (2,))))
+        assert validate_decomposition(diamond, d).ok
+        walks = CountingPaths.walks
+        assert d.path_of(diamond.vertex_count) == [0, 0, 1, 0]
+        assert CountingPaths.walks == walks
+
 
 class TestClassify:
     def test_chain_with_shortcut(self):

@@ -2,7 +2,11 @@
 
 The SHA-256 of ``layout --svg``, ``--json`` and the ``--metrics`` stdout on
 six seeded graphs, under no flag and under ``--no-bundle-cross``, and on one
-many-lane graph (a path of 400 with 200 lanes in one stack) under no flag. A change
+many-lane graph (a path of 400 with 200 lanes in one stack) under no flag.
+``chains-1`` is also pinned under ``--no-bundle-transitive``, ``--no-compact``
+and ``--no-reorder``, and ``cyclic-1`` under the first two, so hidden
+transitive edges, topological rows and unreordered stacks each have a
+digest (``cyclic-1`` draws the same SVG with and without reordering). A change
 meant to keep output identical (a faster loop, a refactor) must leave every
 digest as it is; a change that alters output on purpose updates this table
 and says why.
@@ -56,7 +60,13 @@ def outputs(name: str, flags: list[str], directory) -> dict[str, str]:
     }
 
 
-FLAGS = {"default": [], "no-bundle-cross": ["--no-bundle-cross"]}
+FLAGS = {
+    "default": [],
+    "no-bundle-cross": ["--no-bundle-cross"],
+    "no-bundle-transitive": ["--no-bundle-transitive"],
+    "no-compact": ["--no-compact"],
+    "no-reorder": ["--no-reorder"],
+}
 
 DIGESTS: dict[tuple[str, str], dict[str, str]] = {
     ("uniform-1", "default"): {
@@ -89,6 +99,21 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "json": "be7ea8a631a46149544e1176a058e966dd86363679d64d27730b322552fb53fc",
         "metrics": "6f71ec27d005d0c5920523b3c3f8c40261b860c8b564a350da77e4abd991f464",
     },
+    ("chains-1", "no-bundle-transitive"): {
+        "svg": "cb0ed28b360a3410a22b177ad437c08d573d48786b9de1d58aa7869950c19add",
+        "json": "e3b08845cf7ea9ecaa9b6d6e386407bf4d95b6f88373c4105c374ef2b5144456",
+        "metrics": "8858c4cf1ac731bd71427ff9fba8a581b1d3f7850d7182fe2566c1b033bab081",
+    },
+    ("chains-1", "no-compact"): {
+        "svg": "5e52f844cd44762d238bb2566d9f1d3ae9c2ebb6f57c02b4bccc863f69da5415",
+        "json": "34d677bfefc2605e05214c93621b7e9aa42d31ff11ce84f6fdcb7caaf5b5af9c",
+        "metrics": "fdaf87f8e9c09c53e54f37aaf45fefae9c1ea1004c592174b9d9556dd0aa51d8",
+    },
+    ("chains-1", "no-reorder"): {
+        "svg": "4387dd5a18f4d06d01577d1094ee1d42fcc8a373221600aca15d475f3ecc2d80",
+        "json": "affb7a5bdc5f7d03dc61bc96503b338b395020c0f78eaa837a3b1c5d926836fc",
+        "metrics": "a5e7c9395b79e77979d28e1a4f6e82c1474e1c7c93c4bb1c08a10e3fd0758ef6",
+    },
     ("chains-2", "default"): {
         "svg": "e4b65f466983780d4bebb732c7e82c5311928653d99895c3d49a2b1653d39dc8",
         "json": "3b17450e874a5106db46ffedf0a9830f4599a108a3c75f706df86c7d9ef42ab2",
@@ -113,6 +138,16 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "svg": "cb0c27636bf7a0f577c75dad97d4d746017d1fdc82cfb77d5461f284cf243e96",
         "json": "526211cba91b79b2cba25511a81ecbc123a44cdee82e0d01e904f736a87c9c19",
         "metrics": "411ea0cbea034ff64e2bb4b6c8bbe74568542d1b6c02ac6a044a7ed7fbba6d5d",
+    },
+    ("cyclic-1", "no-bundle-transitive"): {
+        "svg": "abc2f0681c72d7a8b9440d74458dbd02e80024fc67dc4e662bf57d0881d4e243",
+        "json": "dd85f26e13975fe6253a079e92e2844b9733aacfbc287477a9628b505d5e8274",
+        "metrics": "c19171295bfefa93f943e9908b3244838cb2c6671bbb8fa5ad39834a448001f4",
+    },
+    ("cyclic-1", "no-compact"): {
+        "svg": "d4eaccd401d57bd09a313edd5b819b76a88cef57f2b2e7143156444644401a1c",
+        "json": "ffc06d8dc6c64c1b4fa7df94c841990619ebe5bd70e392d0aaff987fb6aa6e50",
+        "metrics": "58b065c08640a26a5ffbb68b24a1f7d33454202c451030af50f73802ac02a287",
     },
     ("cyclic-2", "default"): {
         "svg": "9e540c433d3dbe8c483bb5a1c2271a06d8c2eb20aad44e734f1473d3b337f3c0",
