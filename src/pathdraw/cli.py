@@ -1,8 +1,8 @@
 """Command-line front end: layout, gen, and bench subcommands.
 
-Exit codes: 0 on success, 2 on input errors (bad files, bad flags,
-invalid decompositions), 3 on internal errors: a failed invariant or any
-other exception raised inside a stage, reported with the stage name.
+Exit codes: 0 on success, 2 on input errors (bad or non-UTF-8 files, bad
+flags, invalid decompositions), 3 on internal errors: a failed invariant or
+any other exception raised inside a stage, reported with the stage name.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .pipeline import (
     run_stage,
 )
 from .render import metrics_block, render_json, render_svg
+
+# causes that are the input's fault, not the program's: exit 2
+_INPUT_ERRORS = (GraphError, DecompositionError, ConfigError, OSError, UnicodeDecodeError)
 
 
 def _sizes(text: str) -> list[int]:
@@ -146,10 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except StageError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc.cause, (GraphError, DecompositionError, ConfigError, OSError)):
+        if isinstance(exc.cause, _INPUT_ERRORS):
             return 2
         return 3
-    except (GraphError, DecompositionError, ConfigError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except InvariantError as exc:

@@ -96,7 +96,7 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
     """Execute every enabled stage and keep the rich intermediate results."""
     run_stage("config", config.validate)
     if config.input_path is not None:
-        text = run_stage("read", Path(config.input_path).read_text)
+        text = run_stage("read", Path(config.input_path).read_text, encoding="utf-8")
         g = run_stage("parse", parse_graph, text)
     else:
         g = run_stage(
@@ -114,7 +114,9 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
     timed = time.perf_counter() - t0
 
     if config.decomposition_path is not None:
-        text = run_stage("read-paths", Path(config.decomposition_path).read_text)
+        text = run_stage(
+            "read-paths", Path(config.decomposition_path).read_text, encoding="utf-8"
+        )
         d = run_stage(
             "decomposition", parse_decomposition, text, dag, removal.reversed_edges
         )

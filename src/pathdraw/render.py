@@ -2,7 +2,17 @@
 
 Both emitters iterate in sorted order and format nothing ambiently, so one
 layout always yields one byte sequence. The JSON document round-trips
-losslessly: load followed by dump reproduces the bytes.
+losslessly: for every document ``doc`` that ``render_json`` returns,
+``json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n" == doc``.
+
+The document is written from one f-string template per vertex, edge, bundle
+and route point, with every key in sorted order, rather than by building a
+dict and dumping it. The standard library uses its C encoder only when
+``indent`` is None, so an indented ``json.dumps`` runs the pure-Python
+generator encoder, one yield per integer of every route point; on 300-vertex
+graphs that cost more than drawing the layout. Strings, the seed and the
+toggle values still go through ``json.dumps``, so escaping is the standard
+library's.
 """
 
 from __future__ import annotations
@@ -83,6 +93,16 @@ def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _container(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Pre-written items joined into a JSON array (or object) closed at ``indent``.
+
+    An empty one is written ``[]`` (``{}``), as ``json.dumps`` writes it.
+    """
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def render_json(
     layout: Layout,
     metrics: MetricsReport,
@@ -101,55 +121,50 @@ def render_json(
     for pi, path in enumerate(layout.paths):
         for j, v in enumerate(path):
             order[v] = (pi, j)
-    vertices = [
-        {
-            "id": v,
-            "x": layout.x[v],
-            "y": layout.y[v],
-            "path": order[v][0],
-            "order_in_path": order[v][1],
-        }
-        for v in sorted(layout.x)
-    ]
+    xs, ys = layout.x, layout.y
+    vertices = []
+    for v in sorted(xs):
+        pi, j = order[v]
+        vertices.append(
+            f'    {{\n      "id": {v},\n      "order_in_path": {j},\n      "path": {pi},\n'
+            f'      "x": {xs[v]},\n      "y": {ys[v]}\n    }}'
+        )
+    routes = layout.routes
+    category = layout.category
+    # each category string is escaped once
+    quoted = {c: json.dumps(c) for c in set(category.values())}
     edges = []
-    for (u, v), route in sorted(layout.routes.items()):
-        entry: dict = {
-            "u": u,
-            "v": v,
-            "category": layout.category[(u, v)],
-            "route": [[px, py] for px, py in route],
-        }
-        if (u, v) in id_of:
-            entry["bundle_id"] = id_of[(u, v)]
-        edges.append(entry)
+    for e in sorted(routes):
+        u, v = e
+        bundle_id = f'      "bundle_id": {id_of[e]},\n' if e in id_of else ""
+        points = [
+            f"        [\n          {px},\n          {py}\n        ]" for px, py in routes[e]
+        ]
+        route = _container(points, "      ")
+        edges.append(
+            f'    {{\n{bundle_id}      "category": {quoted[category[e]]},\n'
+            f'      "route": {route},\n      "u": {u},\n      "v": {v}\n    }}'
+        )
     bundle_objs = [
-        {
-            "id": b.id,
-            "kind": b.kind,
-            "anchor_or_target": b.anchor_or_target,
-            "lane": b.lane,
-            "span": list(b.span),
-        }
+        f'    {{\n      "anchor_or_target": {b.anchor_or_target},\n      "id": {b.id},\n'
+        f'      "kind": {json.dumps(b.kind)},\n      "lane": {b.lane},\n'
+        f'      "span": [\n        {b.span[0]},\n        {b.span[1]}\n      ]\n    }}'
         for b in bundles
     ]
-    doc = {
-        "vertices": vertices,
-        "edges": edges,
-        "bundles": bundle_objs,
-        "metrics": {
-            "crossings": metrics.crossings,
-            "bends": metrics.bends,
-            "width": metrics.width,
-            "height": metrics.height,
-            "area": metrics.area,
-        },
-        "meta": {
-            "seed": seed,
-            "toggles": toggles or {},
-            "version": version,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    toggle_items = [
+        f"      {json.dumps(k)}: {json.dumps(on)}" for k, on in sorted((toggles or {}).items())
+    ]
+    toggle_text = _container(toggle_items, "    ", "{}")
+    return (
+        f'{{\n  "bundles": {_container(bundle_objs, "  ")},\n'
+        f'  "edges": {_container(edges, "  ")},\n'
+        f'  "meta": {{\n    "seed": {json.dumps(seed)},\n    "toggles": {toggle_text},\n'
+        f'    "version": {json.dumps(version)}\n  }},\n'
+        f'  "metrics": {{\n    "area": {metrics.area},\n    "bends": {metrics.bends},\n'
+        f'    "crossings": {metrics.crossings},\n    "height": {metrics.height},\n'
+        f'    "width": {metrics.width}\n  }},\n'
+        f'  "vertices": {_container(vertices, "  ")}\n}}\n'
+    )
 
 
 def metrics_block(metrics: MetricsReport, extra: dict[str, object] | None = None) -> str:

@@ -8,6 +8,7 @@ They share no code with the library so a bug cannot hide on both sides.
 
 from __future__ import annotations
 
+import json
 import random
 from heapq import heapify, heappop, heappush
 from itertools import permutations
@@ -441,6 +442,71 @@ def render_svg_reference(layout, pitch: int = 24) -> str:
     lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def render_json_reference(
+    layout,
+    metrics,
+    bundles=(),
+    seed: int | None = None,
+    toggles: dict[str, bool] | None = None,
+    version: str = "0.1.0",
+) -> str:
+    """The layout document built as a dict and pretty-printed by ``json.dumps``."""
+    id_of = {e: b.id for b in bundles for e in b.members}
+    order: dict[int, tuple[int, int]] = {}
+    for pi, path in enumerate(layout.paths):
+        for j, v in enumerate(path):
+            order[v] = (pi, j)
+    vertices = [
+        {
+            "id": v,
+            "x": layout.x[v],
+            "y": layout.y[v],
+            "path": order[v][0],
+            "order_in_path": order[v][1],
+        }
+        for v in sorted(layout.x)
+    ]
+    edges = []
+    for (u, v), route in sorted(layout.routes.items()):
+        entry: dict = {
+            "u": u,
+            "v": v,
+            "category": layout.category[(u, v)],
+            "route": [[px, py] for px, py in route],
+        }
+        if (u, v) in id_of:
+            entry["bundle_id"] = id_of[(u, v)]
+        edges.append(entry)
+    bundle_objs = [
+        {
+            "id": b.id,
+            "kind": b.kind,
+            "anchor_or_target": b.anchor_or_target,
+            "lane": b.lane,
+            "span": list(b.span),
+        }
+        for b in bundles
+    ]
+    doc = {
+        "vertices": vertices,
+        "edges": edges,
+        "bundles": bundle_objs,
+        "metrics": {
+            "crossings": metrics.crossings,
+            "bends": metrics.bends,
+            "width": metrics.width,
+            "height": metrics.height,
+            "area": metrics.area,
+        },
+        "meta": {
+            "seed": seed,
+            "toggles": toggles or {},
+            "version": version,
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def uniform_dag_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:

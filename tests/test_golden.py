@@ -6,10 +6,11 @@ many-lane graph (a path of 400 with 200 lanes in one stack) under no flag.
 ``chains-1`` is also pinned under ``--no-bundle-transitive``, ``--no-compact``
 and ``--no-reorder``, and ``cyclic-1`` under the first two, so hidden
 transitive edges, topological rows and unreordered stacks each have a
-digest (``cyclic-1`` draws the same SVG with and without reordering). A change
-meant to keep output identical (a faster loop, a refactor) must leave every
-digest as it is; a change that alters output on purpose updates this table
-and says why.
+digest (``cyclic-1`` draws the same SVG with and without reordering). Two
+edgeless graphs, of 0 and 1 vertices, pin the documents whose vertex, edge
+and bundle lists are empty. A change meant to keep output identical (a
+faster loop, a refactor) must leave every digest as it is; a change that
+alters output on purpose updates this table and says why.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def _case(name: str) -> tuple[int, list[tuple[int, int]], tuple | None]:
         return 300, cyclic_digraph_edges(300, 600, seed=1), None
     if name == "cyclic-2":
         return 200, cyclic_digraph_edges(200, 500, seed=2), None
+    if name.startswith("edgeless-"):
+        return int(name[-1]), [], None
     raise KeyError(name)
 
 
@@ -158,6 +161,16 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "svg": "57c6d145b32cee9ba49690cfac707d1b96aab72000447c94c2aaf898befcbfd9",
         "json": "132843aacd2c8ba3a341467b2a7d8cd243b6513db110e76a15dee4ec727fe902",
         "metrics": "470a96e982e8a47ac2b5e1a06e909d907bcedcfd279ea26251861ce4dc15d035",
+    },
+    ("edgeless-0", "default"): {
+        "svg": "a252357cabb00c4542897935da3057425cf84e3f7b8dd28ad8709c7b8573bc87",
+        "json": "0e4a8d3ad376981ab7fa6fc97149b41126bd714908b71f4651cd2859e28c96d5",
+        "metrics": "66059d9209f01e54cb99fa255a1ad6d63e0faec07022f3f912dfc7503614b8e7",
+    },
+    ("edgeless-1", "default"): {
+        "svg": "11a2089f0c7685845f81b8b6153f985c1e2c6296ec84de3c5be15058c897cada",
+        "json": "51b6aae7fe90956834d1d95b5c6382f4a557050c5f859b52af687fd449f703e5",
+        "metrics": "d3c4fdd69338caf7e6e8336f0c0645d3a788c9cbf9154f6a98bdfc53655e2d97",
     },
 }
 

@@ -328,6 +328,16 @@ class TestCli:
     def test_missing_input_exits_2(self, capsys):
         assert main(["layout", "/does/not/exist"]) == 2
 
+    @pytest.mark.parametrize("bad, stage", [("g.edges", "read"), ("g.paths", "read-paths")])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, bad, stage):
+        edges, paths = tmp_path / "g.edges", tmp_path / "g.paths"
+        edges.write_text("2\n0 1\n")
+        paths.write_text("0 1\n")
+        (tmp_path / bad).write_bytes(b"\xff\xfe")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}': 'utf-8' codec can't decode")
+
     def test_paths_conflicts_with_autocover_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("2\n0 1\n")

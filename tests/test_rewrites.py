@@ -1,10 +1,11 @@
 """The rewritten per-edge loops against their earlier forms in oracles.py.
 
 Adjacency construction, cycle removal, gap occupants and SVG rendering were
-rewritten to touch each edge a constant number of times. Each must give
-exactly what the plainer form gave, on seeded inputs that include 2-cycles,
-shuffled edge orders and layouts with coordinates left of, above and below
-zero.
+rewritten to touch each edge a constant number of times, and the JSON
+document is written by template rather than through ``json.dumps``. Each
+must give exactly what the plainer form gave, on seeded inputs that include
+2-cycles, shuffled edge orders, empty graphs, hidden transitive edges and
+layouts with coordinates left of, above and below zero.
 """
 
 from __future__ import annotations
@@ -20,11 +21,23 @@ from oracles import (
     cyclic_digraph_edges,
     gap_occupants_reference,
     remove_cycles_reference,
+    render_json_reference,
     render_svg_reference,
+    uniform_dag_edges,
 )
-from pathdraw import DiGraph, draw, min_path_cover, remove_cycles, render_svg, topo_sort
+from pathdraw import (
+    DiGraph,
+    draw,
+    measure,
+    min_path_cover,
+    remove_cycles,
+    render_json,
+    render_svg,
+    topo_sort,
+)
 from pathdraw.decomposition import classify_edges
-from pathdraw.layout import Layout
+from pathdraw.drawing import BundleRecord
+from pathdraw.layout import Layout, MetricsReport
 from pathdraw.routing import gap_occupants
 
 
@@ -208,3 +221,103 @@ class TestRenderSvg:
         for dag, d in ((g, min_path_cover(g)), chains_dag(4, 40, seed)):
             drawing = draw(dag, d, topo_sort(dag), bundle_cross_incoming=bundle)
             assert render_svg(drawing.layout) == render_svg_reference(drawing.layout)
+
+
+def _drawn(case: str, seed: int):
+    """(layout, bundles) of one seeded drawing."""
+    if case == "uniform":
+        n = 40 + 30 * seed
+        g = DiGraph.build(n, uniform_dag_edges(n, 2 * n, seed))
+        drawing = draw(g, min_path_cover(g))
+    elif case == "chains":
+        drawing = draw(*chains_dag(4, 40, seed))
+    elif case == "hidden":
+        g, d = chains_dag(4, 40, seed)
+        drawing = draw(g, d, bundle_transitive_edges=False)
+        assert () in drawing.layout.routes.values()
+    elif case == "cyclic":
+        g = remove_cycles(_cyclic(seed, n_max=200)).dag
+        drawing = draw(g, min_path_cover(g))
+    else:  # "empty" and "single": an edgeless graph of 0 or 1 vertices
+        g = DiGraph.build(int(case == "single"), [])
+        drawing = draw(g, min_path_cover(g))
+    return drawing.layout, drawing.bundles
+
+
+TOGGLES = {"compact": True, "bundle_transitive": False, "bundle_cross": True, "reorder": False}
+
+# (seed, toggles, version) recorded in the document's meta block
+METAS = [
+    (None, None, "0.1.0"),
+    (7, {}, "0.1.0"),
+    (0, TOGGLES, "0.1.0"),
+    (-3, {"compact": False}, "0.2.0-\u03b2 \u00fcber \"q\" \\"),
+]
+
+
+def _toy_bundles(layout: Layout, rng: random.Random) -> tuple[BundleRecord, ...]:
+    """Records over random disjoint groups of the layout's edges."""
+    edges = sorted(layout.routes)
+    rng.shuffle(edges)
+    bundles = []
+    while edges and rng.random() < 0.8:
+        members = tuple(edges.pop() for _ in range(min(len(edges), rng.randint(1, 3))))
+        lo = rng.randint(-2, 9)
+        bundles.append(
+            BundleRecord(
+                id=rng.randint(0, 99),
+                kind=rng.choice(["transitive", "cross"]),
+                anchor_or_target=rng.randint(0, 12),
+                lane=rng.randint(-3, 12),
+                span=(lo, lo + rng.randint(0, 5)),
+                members=members,
+            )
+        )
+    return tuple(bundles)
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("meta", range(len(METAS)))
+    @pytest.mark.parametrize(
+        "case, seed",
+        [
+            ("uniform", 0),
+            ("uniform", 1),
+            ("chains", 0),
+            ("chains", 1),
+            ("hidden", 2),
+            ("cyclic", 0),
+            ("cyclic", 3),
+            ("empty", 0),
+            ("single", 0),
+        ],
+    )
+    def test_drawn_graphs(self, case, seed, meta):
+        layout, bundles = _drawn(case, seed)
+        metrics = measure(layout)
+        seed_value, toggles, version = METAS[meta]
+        args = dict(bundles=bundles, seed=seed_value, toggles=toggles, version=version)
+        assert render_json(layout, metrics, **args) == render_json_reference(
+            layout, metrics, **args
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bundled_layout_without_its_records(self, seed):
+        layout, bundles = _drawn("chains", seed)
+        assert bundles
+        metrics = measure(layout)
+        text = render_json(layout, metrics, bundles=(), toggles=TOGGLES)
+        assert text == render_json_reference(layout, metrics, bundles=(), toggles=TOGGLES)
+        assert '"bundles": [],' in text and "bundle_id" not in text
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_toy_layouts(self, seed):
+        rng = random.Random(seed)
+        layout = _toy_layout(seed)
+        bundles = _toy_bundles(layout, rng)
+        metrics = MetricsReport(*(rng.randint(0, 10**6) for _ in range(5)))
+        seed_value, toggles, version = METAS[seed % len(METAS)]
+        args = dict(bundles=bundles, seed=seed_value, toggles=toggles, version=version)
+        assert render_json(layout, metrics, **args) == render_json_reference(
+            layout, metrics, **args
+        )
