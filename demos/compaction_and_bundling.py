@@ -36,7 +36,7 @@ for name, drawing in [
     ("lane reorder off", no_reorder),
 ]:
     m = measure(drawing.layout)
-    lanes = sum(1 for tag in drawing.layout.column_meta.values() if tag != "path-spine")
+    lanes = m.width - len(cover.paths)  # every column that is not a spine
     print(f"  {name:20s} width {m.width:3d} crossings {m.crossings:4d} "
           f"bends {m.bends:3d} lane columns {lanes}")
 

@@ -56,8 +56,9 @@ for b in drawing.bundles:
 width = max(lay.x.values()) + 1
 height = max(lay.y.values()) + 1
 grid = [["." for _ in range(width)] for _ in range(height)]
-for col, tag in lay.column_meta.items():
-    if tag != "path-spine":
+spines = set(lay.x.values())
+for col in range(width):
+    if col not in spines:
         for row in range(height):
             grid[row][col] = " "
 for b in drawing.bundles:

@@ -7,6 +7,9 @@ on their vertical span. Quality metrics (crossings, bends, width, height,
 area) are computed on the finished integer grid.
 """
 
+# set before the imports: render reads it while the package is loading
+__version__ = "0.1.0"
+
 from .decomposition import (
     DecompositionError,
     PathDecomposition,
@@ -31,5 +34,3 @@ from .pipeline import (
     run_pipeline_full,
 )
 from .render import render_json, render_svg
-
-__version__ = "0.1.0"

@@ -199,12 +199,6 @@ def lane_pair_costs(lanes: tuple[tuple, ...]) -> list[list[int]]:
     ]
 
 
-def stack_crossings(lanes: tuple[tuple, ...]) -> int:
-    """Trunk/connector crossings within one side stack, by lane order."""
-    cost = lane_pair_costs(lanes)
-    return sum(cost[i][j] for i in range(len(lanes)) for j in range(i + 1, len(lanes)))
-
-
 _EXHAUSTIVE_LIMIT = 6
 
 

@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
 from .decomposition import DecompositionError
 from .generator import generate_random_dag
 from .graph import GraphError, serialize_graph
@@ -115,7 +114,6 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             bundles=result.drawing.bundles,
             seed=result.seed,
             toggles=result.toggles,
-            version=__version__,
         )
         Path(args.json).write_text(doc, encoding="utf-8")
     if args.metrics:
@@ -142,9 +140,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once, after the handlers it dispatches to; building costs about ten
+# times what one parse does
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except StageError as exc:

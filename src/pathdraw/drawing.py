@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .bundling import BundleInterval, LanePacking, pack_intervals, reorder_lanes, transitive_bundles
 from .decomposition import PathDecomposition, classify_edges
-from .graph import DiGraph, TopoOrder, topo_sort
+from .graph import DiGraph, topo_sort
 from .layout import (
     COL_CROSS,
     COL_LANE_LEFT,
@@ -53,7 +53,7 @@ class Drawing:
 def draw(
     g: DiGraph,
     d: PathDecomposition,
-    t: TopoOrder | None = None,
+    t: dict[int, int] | None = None,
     *,
     compact_rows: bool = True,
     bundle_transitive_edges: bool = True,
@@ -62,8 +62,9 @@ def draw(
 ) -> Drawing:
     """Produce the complete drawing for a DAG and decomposition.
 
-    Rows come from the topological ranks, compacted unless ``compact_rows``
-    is off, in which case each vertex keeps its rank as its row. Disabling
+    Rows come from the topological ranks ``t`` (``topo_sort(g)`` when it
+    is not given), compacted unless ``compact_rows`` is off, in which case
+    each vertex keeps its rank as its row. Disabling
     ``bundle_transitive_edges`` hides transitive edges entirely (empty
     routes, no lanes); disabling ``bundle_cross_incoming`` keeps every cross
     edge on its own lane occupancy. Raises DecompositionError unless the
@@ -80,7 +81,7 @@ def draw(
         # row = 1 + the largest predecessor row, visiting in rank order, so
         # sources are on row 0
         order = [0] * n
-        for v, r in t.rank.items():
+        for v, r in t.items():
             order[r] = v
         for v in order:
             best = -1
@@ -89,7 +90,7 @@ def draw(
                     best = y[u]
             y[v] = best + 1
     else:
-        for v, r in t.rank.items():
+        for v, r in t.items():
             y[v] = r
     k = d.path_count
 

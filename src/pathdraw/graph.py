@@ -1,5 +1,4 @@
-"""Directed-graph core: edge-list parsing, cycle removal, topological order,
-and the longest-path table used for height checks.
+"""Directed-graph core: edge-list parsing, cycle removal and topological order.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
 and safe to share; every operation here is a pure function.
@@ -75,15 +74,6 @@ def _adjacency(
 class CycleRemovalResult:
     dag: DiGraph
     reversed_edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class TopoOrder:
-    rank: dict[int, int]
-
-    def order(self) -> list[int]:
-        """Vertices sorted by rank."""
-        return sorted(self.rank, key=self.rank.__getitem__)
 
 
 def parse_graph(text: str) -> DiGraph:
@@ -176,10 +166,11 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
     return CycleRemovalResult(dag, frozenset(back))
 
 
-def topo_sort(g: DiGraph) -> TopoOrder:
-    """Kahn's algorithm with a min-id heap, so the order is reproducible.
+def topo_sort(g: DiGraph) -> dict[int, int]:
+    """Topological rank of every vertex, by Kahn's algorithm.
 
-    Raises GraphError naming a vertex on a cycle if the graph is cyclic.
+    A min-id heap makes the order reproducible. Raises GraphError naming a
+    vertex on a cycle if the graph is cyclic.
     """
     indeg = list(map(len, g._pred))
     heap: list[int] = [v for v in range(g.vertex_count) if indeg[v] == 0]
@@ -195,19 +186,4 @@ def topo_sort(g: DiGraph) -> TopoOrder:
     if len(rank) != g.vertex_count:
         culprit = min(v for v in range(g.vertex_count) if v not in rank)
         raise GraphError(f"graph is cyclic: vertex {culprit} lies on a cycle")
-    return TopoOrder(rank)
-
-
-def longest_path_ending_at(g: DiGraph) -> dict[int, int]:
-    """Edge count of a longest directed path ending at each vertex.
-
-    Dynamic programming over a topological order; the maximum over all
-    vertices is the longest-path length of the whole DAG, which is also
-    the optimal compacted drawing height.
-    """
-    order = topo_sort(g).order()
-    value: dict[int, int] = {}
-    for v in order:
-        preds = g.predecessors(v)
-        value[v] = max((value[u] + 1 for u in preds), default=0)
-    return value
+    return rank

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
+from . import __version__
 from .drawing import BundleRecord
 from .layout import Layout, MetricsReport
 
@@ -36,33 +37,28 @@ _STYLE = """\
 _CLASS = {"path": "path-edge", "transitive": "transitive-edge", "cross": "cross-edge"}
 
 
-def _px(grid: int, pitch: int) -> int:
-    return (grid + 1) * pitch
+def _px(grid: int) -> int:
+    return (grid + 1) * SVG_PITCH
 
 
 class _PixelText(dict):
     """Grid coordinate -> pixel string, each formatted on its first lookup."""
 
-    def __init__(self, pitch: int):
-        super().__init__()
-        self.pitch = pitch
-
     def __missing__(self, grid: int) -> str:
-        text = self[grid] = str(_px(grid, self.pitch))
+        text = self[grid] = str(_px(grid))
         return text
 
 
-def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
+def render_svg(layout: Layout) -> str:
     """One circle per vertex, one polyline per drawn edge, styled by category."""
     routes = layout.routes
     category = layout.category
     xs, ys = layout.x, layout.y
     max_x = max(chain(xs.values(), (p[0] for r in routes.values() for p in r)), default=0)
     max_y = max(chain(ys.values(), (p[1] for r in routes.values() for p in r)), default=0)
-    width, height = _px(max_x + 1, pitch), _px(max_y + 1, pitch)
-    # each column's and each row's pixel string is formatted once
-    px = _PixelText(pitch)
-    py = _PixelText(pitch)
+    width, height = _px(max_x + 1), _px(max_y + 1)
+    # each grid coordinate's pixel string is formatted once, for both axes
+    px = _PixelText()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -76,7 +72,7 @@ def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
         route = routes[e]
         if len(route) < 2:
             continue
-        points = " ".join([f"{px[gx]},{py[gy]}" for gx, gy in route])
+        points = " ".join([f"{px[gx]},{px[gy]}" for gx, gy in route])
         lines.append(
             f'    <polyline class="{_CLASS[category[e]]}" points="{points}">'
             f"<title>{e[0]}-{e[1]}</title></polyline>"
@@ -85,7 +81,7 @@ def render_svg(layout: Layout, pitch: int = SVG_PITCH) -> str:
     lines.append('  <g class="vertices">')
     for v in sorted(xs):
         lines.append(
-            f'    <circle cx="{px[xs[v]]}" cy="{py[ys[v]]}" r="{SVG_RADIUS}">'
+            f'    <circle cx="{px[xs[v]]}" cy="{px[ys[v]]}" r="{SVG_RADIUS}">'
             f"<title>{v}</title></circle>"
         )
     lines.append("  </g>")
@@ -109,9 +105,10 @@ def render_json(
     bundles: tuple[BundleRecord, ...] = (),
     seed: int | None = None,
     toggles: dict[str, bool] | None = None,
-    version: str = "0.1.0",
 ) -> str:
     """Lossless JSON document for the drawing; see the schema in the README.
+
+    ``meta.version`` is the package version.
 
     An edge's ``bundle_id`` is the id of the record in ``bundles`` that
     lists it as a member.
@@ -159,7 +156,7 @@ def render_json(
         f'{{\n  "bundles": {_container(bundle_objs, "  ")},\n'
         f'  "edges": {_container(edges, "  ")},\n'
         f'  "meta": {{\n    "seed": {json.dumps(seed)},\n    "toggles": {toggle_text},\n'
-        f'    "version": {json.dumps(version)}\n  }},\n'
+        f'    "version": {json.dumps(__version__)}\n  }},\n'
         f'  "metrics": {{\n    "area": {metrics.area},\n    "bends": {metrics.bends},\n'
         f'    "crossings": {metrics.crossings},\n    "height": {metrics.height},\n'
         f'    "width": {metrics.width}\n  }},\n'

@@ -15,7 +15,7 @@ from itertools import permutations
 from operator import attrgetter
 from typing import NamedTuple
 
-from pathdraw import DiGraph, PathDecomposition
+from pathdraw import DiGraph, PathDecomposition, __version__
 from pathdraw.bundling import BundleInterval, LanePacking
 
 
@@ -32,6 +32,32 @@ def longest_ending_at_bruteforce(g: DiGraph) -> dict[int, int]:
     for start in range(g.vertex_count):
         extend([start])
     return best
+
+
+def longest_path_ending_at(g: DiGraph) -> dict[int, int]:
+    """Longest path ending at each vertex, by dynamic programming.
+
+    The fast reference for large graphs, where enumerating every path is
+    too slow. Vertices are visited in an order of its own: any vertex whose
+    predecessors all have a value is next. The maximum over all vertices is
+    the longest-path length of the whole DAG, the optimal compacted height.
+    """
+    preds: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    succs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        preds[v].append(u)
+        succs[u].append(v)
+    waiting = [len(p) for p in preds]
+    ready = [v for v in range(g.vertex_count) if not waiting[v]]
+    value: dict[int, int] = {}
+    while ready:
+        v = ready.pop()
+        value[v] = max((value[u] + 1 for u in preds[v]), default=0)
+        for w in succs[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                ready.append(w)
+    return value
 
 
 def max_overlap_depth(spans: list[tuple[int, int]]) -> int:
@@ -216,6 +242,17 @@ def lane_pair_crossings_bruteforce(nearer, farther) -> int:
             if lo_a < lo_b < hi_a or lo_a < hi_b < hi_a:
                 count += 1
     return count
+
+
+def stack_crossings_bruteforce(lanes) -> int:
+    """Trunk/connector crossings of a side stack in its given lane order."""
+    return sum(
+        lane_pair_crossings_bruteforce(a, b)
+        for i, nearer in enumerate(lanes)
+        for farther in lanes[i + 1 :]
+        for a in nearer
+        for b in farther
+    )
 
 
 def reorder_lanes_bruteforce(lanes) -> tuple[list[list[int]], tuple[int, ...]]:
@@ -407,11 +444,11 @@ _SVG_STYLE = """\
 _SVG_CLASS = {"path": "path-edge", "transitive": "transitive-edge", "cross": "cross-edge"}
 
 
-def render_svg_reference(layout, pitch: int = 24) -> str:
+def render_svg_reference(layout) -> str:
     """SVG text with every coordinate formatted where it is written."""
 
     def px(grid: int) -> int:
-        return (grid + 1) * pitch
+        return (grid + 1) * 24
 
     points = [p for r in layout.routes.values() for p in r]
     max_x = max([x for x in layout.x.values()] + [p[0] for p in points], default=0)
@@ -450,7 +487,6 @@ def render_json_reference(
     bundles=(),
     seed: int | None = None,
     toggles: dict[str, bool] | None = None,
-    version: str = "0.1.0",
 ) -> str:
     """The layout document built as a dict and pretty-printed by ``json.dumps``."""
     id_of = {e: b.id for b in bundles for e in b.members}
@@ -503,7 +539,7 @@ def render_json_reference(
         "meta": {
             "seed": seed,
             "toggles": toggles or {},
-            "version": version,
+            "version": __version__,
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

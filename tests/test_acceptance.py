@@ -18,6 +18,7 @@ from oracles import (
     cross_routes_of,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
+    longest_path_ending_at,
     many_lane_dag,
     max_overlap_depth,
     min_cover_bruteforce,
@@ -26,7 +27,6 @@ from oracles import (
 from pathdraw import draw, generate_random_dag, min_path_cover, remove_cycles, topo_sort
 from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
-from pathdraw.graph import longest_path_ending_at
 from pathdraw.metrics import count_crossings, orientation
 
 SIZES = (20, 50, 100)

@@ -132,7 +132,7 @@ class TestMinPathCover:
         g = generate_random_dag(rng.randrange(2, 25), rng.uniform(0.5, 2.5), seed)
         d = min_path_cover(g)
         assert validate_decomposition(g, d).ok
-        rank = topo_sort(g).rank
+        rank = topo_sort(g)
         firsts = [rank[p[0]] for p in d.paths]
         assert firsts == sorted(firsts)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import longest_path_ending_at
 from pathdraw import (
     DiGraph,
     PathDecomposition,
@@ -13,7 +14,6 @@ from pathdraw import (
     min_path_cover,
     topo_sort,
 )
-from pathdraw.graph import longest_path_ending_at
 from pathdraw.layout import assert_properties
 
 
@@ -38,7 +38,7 @@ class TestInitialLayout:
     def test_diamond_columns_follow_path_order(self, diamond, diamond_paths):
         lay = _uncompacted(diamond, diamond_paths)
         assert lay.x[0] == lay.x[1] == lay.x[3] < lay.x[2]
-        assert lay.y == topo_sort(diamond).rank
+        assert lay.y == topo_sort(diamond)
 
     @pytest.mark.parametrize("n", [20, 50, 100])
     @pytest.mark.parametrize("seed", range(34))

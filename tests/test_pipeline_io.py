@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pathdraw
 import pathdraw.cli
 import pathdraw.pipeline
 from oracles import chains_dag, ladder_dag
@@ -35,6 +36,7 @@ from pathdraw.graph import serialize_graph
 from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 class TestGenerator:
@@ -175,7 +177,7 @@ class TestToggles:
         g = generate_random_dag(30, 1.6, seed=4)
         d = min_path_cover(g)
         lay = draw(g, d, compact_rows=False).layout
-        assert lay.y == topo_sort(g).rank
+        assert lay.y == topo_sort(g)
 
     def test_hiding_transitive_drops_routes_and_lanes(self, pair):
         full, bare = pair
@@ -418,6 +420,16 @@ class TestCli:
         edges = tmp_path / "ladder.edges"
         edges.write_text(serialize_graph(ladder_dag(1200)))
         assert main(["layout", str(edges), "--json", str(tmp_path / "l.json")]) == 0
+
+    def test_document_version_is_the_package_version(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        out = tmp_path / "g.json"
+        assert main(["layout", str(edges), "--json", str(out)]) == 0
+        version = json.loads(out.read_text())["meta"]["version"]
+        # a regex, since tomllib is new in Python 3.11
+        declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.M)
+        assert version == pathdraw.__version__ == declared.group(1)
 
     def test_unexpected_stage_exception_exits_3_with_stage_name(
         self, tmp_path, capsys, monkeypatch

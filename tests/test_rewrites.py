@@ -181,7 +181,6 @@ class TestRenderSvg:
     def test_toy_layouts(self, seed):
         layout = _toy_layout(seed)
         assert render_svg(layout) == render_svg_reference(layout)
-        assert render_svg(layout, pitch=7) == render_svg_reference(layout, pitch=7)
 
     def test_empty_layout(self):
         empty = _layout({}, {}, {})
@@ -246,12 +245,12 @@ def _drawn(case: str, seed: int):
 
 TOGGLES = {"compact": True, "bundle_transitive": False, "bundle_cross": True, "reorder": False}
 
-# (seed, toggles, version) recorded in the document's meta block
+# (seed, toggles) recorded in the document's meta block
 METAS = [
-    (None, None, "0.1.0"),
-    (7, {}, "0.1.0"),
-    (0, TOGGLES, "0.1.0"),
-    (-3, {"compact": False}, "0.2.0-\u03b2 \u00fcber \"q\" \\"),
+    (None, None),
+    (7, {}),
+    (0, TOGGLES),
+    (-3, {"compact": False}),
 ]
 
 
@@ -295,8 +294,8 @@ class TestRenderJson:
     def test_drawn_graphs(self, case, seed, meta):
         layout, bundles = _drawn(case, seed)
         metrics = measure(layout)
-        seed_value, toggles, version = METAS[meta]
-        args = dict(bundles=bundles, seed=seed_value, toggles=toggles, version=version)
+        seed_value, toggles = METAS[meta]
+        args = dict(bundles=bundles, seed=seed_value, toggles=toggles)
         assert render_json(layout, metrics, **args) == render_json_reference(
             layout, metrics, **args
         )
@@ -316,8 +315,8 @@ class TestRenderJson:
         layout = _toy_layout(seed)
         bundles = _toy_bundles(layout, rng)
         metrics = MetricsReport(*(rng.randint(0, 10**6) for _ in range(5)))
-        seed_value, toggles, version = METAS[seed % len(METAS)]
-        args = dict(bundles=bundles, seed=seed_value, toggles=toggles, version=version)
+        seed_value, toggles = METAS[seed % len(METAS)]
+        args = dict(bundles=bundles, seed=seed_value, toggles=toggles)
         assert render_json(layout, metrics, **args) == render_json_reference(
             layout, metrics, **args
         )
