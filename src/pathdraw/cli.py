@@ -1,8 +1,9 @@
 """Command-line front end: layout, gen, and bench subcommands.
 
-Exit codes: 0 on success, 2 on input errors (bad or non-UTF-8 files, bad
-flags, invalid decompositions), 3 on internal errors: a failed invariant or
-any other exception raised inside a stage, reported with the stage name.
+Exit codes: 0 on success, 2 on input errors (bad flags, bad or non-UTF-8
+files, invalid decompositions, unwritable outputs), 3 on internal errors: a
+failed self-check or any other exception raised inside a stage. Past the
+flags, every failure is reported with its stage, writes included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .graph import GraphError, serialize_graph
 from .metrics import count_vertex_touches
 from .pipeline import (
     ConfigError,
-    InvariantError,
     PipelineConfig,
     StageError,
     bench,
@@ -50,12 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_layout = sub.add_parser("layout", help="draw a graph from an edge-list file")
     p_layout.add_argument("input", help="edge-list file")
-    group = p_layout.add_mutually_exclusive_group()
-    group.add_argument("--paths", metavar="FILE", help="path-list file with the decomposition")
-    group.add_argument(
-        "--auto-cover",
-        action="store_true",
-        help="compute a minimum path cover (also the default with no --paths)",
+    p_layout.add_argument(
+        "--paths", metavar="FILE", help="path-list file (default: a minimum path cover)"
     )
     p_layout.add_argument("--no-compact", action="store_true", help="keep topological rows")
     p_layout.add_argument(
@@ -104,7 +100,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     # result.metrics is computed on first read, so --svg alone never pays for it
     if args.svg:
         svg = run_stage("render", render_svg, layout)
-        Path(args.svg).write_text(svg, encoding="utf-8")
+        run_stage("write", Path(args.svg).write_text, svg, encoding="utf-8")
     if args.json:
         doc = run_stage(
             "render",
@@ -115,28 +111,28 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             seed=result.seed,
             toggles=result.toggles,
         )
-        Path(args.json).write_text(doc, encoding="utf-8")
+        run_stage("write", Path(args.json).write_text, doc, encoding="utf-8")
     if args.metrics:
         extra = {"vertex_touches": run_stage("metrics", count_vertex_touches, layout)}
-        sys.stdout.write(metrics_block(result.metrics, extra))
+        run_stage("write", sys.stdout.write, metrics_block(result.metrics, extra))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = generate_random_dag(args.n, args.deg, args.seed)
-    Path(args.out).write_text(serialize_graph(g), encoding="utf-8")
+    g = run_stage("generate", generate_random_dag, args.n, args.deg, args.seed)
+    run_stage("write", Path(args.out).write_text, serialize_graph(g), encoding="utf-8")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = bench(args.sizes, args.deg, args.seeds)
     csv_text = rows_to_csv(rows)
+    text = "".join(f"median n={n}: {ms:.3f} ms\n" for n, ms in median_wall_ms(rows).items())
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        run_stage("write", Path(args.out).write_text, csv_text, encoding="utf-8")
     else:
-        sys.stdout.write(csv_text)
-    for n, ms in median_wall_ms(rows).items():
-        sys.stdout.write(f"median n={n}: {ms:.3f} ms\n")
+        text = csv_text + text
+    run_stage("write", sys.stdout.write, text)
     return 0
 
 
@@ -151,15 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except StageError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc.cause, _INPUT_ERRORS):
-            return 2
-        return 3
-    except _INPUT_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except InvariantError as exc:
-        sys.stderr.write(f"internal invariant violated: {exc}\n")
-        return 3
+        return 2 if isinstance(exc.cause, _INPUT_ERRORS) else 3
 
 
 if __name__ == "__main__":

@@ -235,7 +235,7 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     graph. Resulting paths are ordered by the topological rank of their
     first vertex, which fixes the column order of the drawing.
     """
-    rank = topo_sort(g)  # also rejects cyclic input
+    rank = topo_sort(g)  # the ranks kept on g, if sorted before; rejects cyclic input
     # successor tuples are sorted, so edges are tried in ascending id order
     adj = [g.successors(u) for u in range(g.vertex_count)]
     match_left = _hopcroft_karp(g.vertex_count, adj)

@@ -62,9 +62,9 @@ def draw(
 ) -> Drawing:
     """Produce the complete drawing for a DAG and decomposition.
 
-    Rows come from the topological ranks ``t`` (``topo_sort(g)`` when it
-    is not given), compacted unless ``compact_rows`` is off, in which case
-    each vertex keeps its rank as its row. Disabling
+    Rows come from the topological ranks ``t`` (those ``topo_sort`` keeps
+    on g when it is not given), compacted unless ``compact_rows`` is off,
+    in which case each vertex keeps its rank as its row. Disabling
     ``bundle_transitive_edges`` hides transitive edges entirely (empty
     routes, no lanes); disabling ``bundle_cross_incoming`` keeps every cross
     edge on its own lane occupancy. Raises DecompositionError unless the

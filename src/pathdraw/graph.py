@@ -1,7 +1,8 @@
 """Directed-graph core: edge-list parsing, cycle removal and topological order.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
-and safe to share; every operation here is a pure function.
+and safe to share. Every operation here is a pure function, except that
+``topo_sort`` keeps its result on the graph, so a run sorts each graph once.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ class GraphError(Exception):
 class DiGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    _succ: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-    _pred: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _succ: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _pred: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, vertex_count: int, edges) -> "DiGraph":
@@ -170,8 +171,11 @@ def topo_sort(g: DiGraph) -> dict[int, int]:
     """Topological rank of every vertex, by Kahn's algorithm.
 
     A min-id heap makes the order reproducible. Raises GraphError naming a
-    vertex on a cycle if the graph is cyclic.
+    vertex on a cycle if the graph is cyclic. The ranks are kept on g, so
+    later calls return the same dict; callers must not modify it.
     """
+    if "_rank" in g.__dict__:
+        return g.__dict__["_rank"]
     indeg = list(map(len, g._pred))
     heap: list[int] = [v for v in range(g.vertex_count) if indeg[v] == 0]
     heapify(heap)
@@ -186,4 +190,6 @@ def topo_sort(g: DiGraph) -> dict[int, int]:
     if len(rank) != g.vertex_count:
         culprit = min(v for v in range(g.vertex_count) if v not in rank)
         raise GraphError(f"graph is cyclic: vertex {culprit} lies on a cycle")
+    # a frozen dataclass takes attributes only through object.__setattr__
+    object.__setattr__(g, "_rank", rank)
     return rank

@@ -67,7 +67,7 @@ def count_crossings(layout: Layout) -> int:
     diagonals: list[tuple[int, Point, Point]] = []  # (route, upper end, lower end)
     d_start: dict[int, list[int]] = {}  # row -> diagonal indices
     d_end: dict[int, list[int]] = {}
-    for rid, (_, route) in enumerate(sorted(layout.routes.items())):
+    for rid, route in enumerate(layout.routes.values()):
         for a, b in route_segments(route):
             if (a[1], a[0]) > (b[1], b[0]):
                 a, b = b, a

@@ -4,8 +4,18 @@ import random
 
 import pytest
 
+import pathdraw.graph
 from oracles import longest_ending_at_bruteforce, longest_path_ending_at, random_digraph
-from pathdraw import DiGraph, GraphError, generate_random_dag, parse_graph, remove_cycles, topo_sort
+from pathdraw import (
+    DiGraph,
+    GraphError,
+    draw,
+    generate_random_dag,
+    min_path_cover,
+    parse_graph,
+    remove_cycles,
+    topo_sort,
+)
 from pathdraw.graph import serialize_graph
 
 
@@ -61,6 +71,11 @@ class TestParse:
         assert serialize_graph(again) == serialize_graph(g)
 
 
+def test_graph_cannot_be_built_without_adjacency():
+    with pytest.raises(TypeError):
+        DiGraph(3, ((0, 1), (1, 2)))
+
+
 class TestRemoveCycles:
     def test_chain_untouched(self, chain3):
         result = remove_cycles(chain3)
@@ -105,6 +120,29 @@ class TestTopoSort:
         g = DiGraph.build(2, [(0, 1), (1, 0)])
         with pytest.raises(GraphError, match="vertex 0"):
             topo_sort(g)
+
+    def test_cycle_raises_on_every_call(self):
+        g = DiGraph.build(2, [(0, 1), (1, 0)])
+        for _ in range(2):
+            with pytest.raises(GraphError, match="vertex 0"):
+                topo_sort(g)
+
+    def test_ranks_are_kept_on_the_graph(self, chain3):
+        assert topo_sort(chain3) is topo_sort(chain3)
+
+    def test_cover_and_drawing_reuse_the_kept_ranks(self, monkeypatch):
+        heapify = pathdraw.graph.heapify
+        sorts = []
+
+        def counted(heap):
+            sorts.append(len(heap))
+            heapify(heap)
+
+        monkeypatch.setattr(pathdraw.graph, "heapify", counted)
+        dag = generate_random_dag(40, 2.0, seed=1)
+        topo_sort(dag)
+        draw(dag, min_path_cover(dag))
+        assert len(sorts) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_ascends_along_edges(self, seed):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from pathdraw import (
 )
 from pathdraw.cli import main
 from pathdraw.graph import serialize_graph
+from pathdraw.layout import PropertyViolation
 from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -310,7 +312,6 @@ class TestCli:
                 [
                     "layout",
                     str(edges),
-                    "--auto-cover",
                     "--svg",
                     str(svg),
                     "--json",
@@ -340,15 +341,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage '{stage}': 'utf-8' codec can't decode")
 
-    def test_paths_conflicts_with_autocover_exits_2(self, tmp_path, capsys):
+    def test_auto_cover_is_not_an_option(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("2\n0 1\n")
-        paths = tmp_path / "g.paths"
-        paths.write_text("0 1\n")
         with pytest.raises(SystemExit) as exc:
-            main(["layout", str(edges), "--paths", str(paths), "--auto-cover"])
+            main(["layout", str(edges), "--auto-cover"])
         assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["layout", "{edges}", "--svg", "{missing}/g.svg"],
+            ["layout", "{edges}", "--json", "{missing}/g.json"],
+            ["gen", "--n", "5", "--deg", "1", "--seed", "1", "--out", "{missing}/g.edges"],
+            ["bench", "--sizes", "5", "--seeds", "1", "--out", "{missing}/rows.csv"],
+        ],
+        ids=["layout-svg", "layout-json", "gen", "bench"],
+    )
+    def test_write_into_missing_directory_exits_2(self, tmp_path, capsys, argv):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        argv = [arg.format(edges=edges, missing=tmp_path / "missing") for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: stage 'write': [Errno 2] ")
+
+    def test_failed_stdout_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["layout", str(edges), "--metrics"]) == 2
+        assert capsys.readouterr().err == "error: stage 'write': [Errno 32] Broken pipe\n"
+
+    def test_failed_self_check_exits_3_with_stage_name(self, tmp_path, capsys, monkeypatch):
+        violation = PropertyViolation("predecessor-row", (2, 2))
+        monkeypatch.setattr(pathdraw.pipeline, "assert_properties", lambda g, layout: violation)
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        assert main(["layout", str(edges), "--svg", str(tmp_path / "g.svg")]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage 'self-check': internal invariant violated: "
+            "vertex 2 has no predecessor one row above\n"
+        )
+        assert not (tmp_path / "g.svg").exists()
 
     @pytest.mark.parametrize("degree", ["-1", "nan"])
     def test_gen_bad_degree_exits_2(self, tmp_path, capsys, degree):
