@@ -23,9 +23,7 @@ from .generator import generate_random_dag
 from .graph import DiGraph, GraphError, parse_graph, remove_cycles, topo_sort
 from .metrics import count_bends, measure
 from .pipeline import (
-    ConfigError,
     InvariantError,
-    PipelineConfig,
     PipelineResult,
     StageError,
     bench,

@@ -1,9 +1,13 @@
 """Command-line front end: layout, gen, and bench subcommands.
 
+``layout`` reads the edge list and the optional path list, passes the graph
+and the path text to the pipeline, and writes what its flags ask for; ``gen``
+and ``bench`` generate their graphs.
+
 Exit codes: 0 on success, 2 on input errors (bad flags, bad or non-UTF-8
 files, invalid decompositions, unwritable outputs), 3 on internal errors: a
 failed self-check or any other exception raised inside a stage. Past the
-flags, every failure is reported with its stage, writes included.
+flags, every failure is reported with its stage, reads and writes included.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ from .generator import generate_random_dag
 from .graph import GraphError, serialize_graph
 from .metrics import count_vertex_touches
 from .pipeline import (
-    ConfigError,
-    PipelineConfig,
     StageError,
     bench,
     median_wall_ms,
+    read_graph,
     rows_to_csv,
     run_pipeline_full,
     run_stage,
@@ -29,7 +32,7 @@ from .pipeline import (
 from .render import metrics_block, render_json, render_svg
 
 # causes that are the input's fault, not the program's: exit 2
-_INPUT_ERRORS = (GraphError, DecompositionError, ConfigError, OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (GraphError, DecompositionError, OSError, UnicodeDecodeError)
 
 
 def _sizes(text: str) -> list[int]:
@@ -86,16 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        input_path=args.input,
-        decomposition_path=args.paths,
-        compact=not args.no_compact,
-        bundle_transitive=not args.no_bundle_transitive,
-        bundle_cross=not args.no_bundle_cross,
-        reorder=not args.no_reorder,
-        seed=args.seed,
-    )
-    result = run_pipeline_full(config)
+    g = read_graph(args.input)
+    paths_text = None
+    if args.paths is not None:
+        paths_text = run_stage("read-paths", Path(args.paths).read_text, encoding="utf-8")
+    toggles = {
+        "compact": not args.no_compact,
+        "bundle_transitive": not args.no_bundle_transitive,
+        "bundle_cross": not args.no_bundle_cross,
+        "reorder": not args.no_reorder,
+    }
+    result = run_pipeline_full(g, paths_text, **toggles)
     layout = result.drawing.layout
     # result.metrics is computed on first read, so --svg alone never pays for it
     if args.svg:
@@ -108,13 +112,13 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             layout,
             result.metrics,
             bundles=result.drawing.bundles,
-            seed=result.seed,
-            toggles=result.toggles,
+            seed=args.seed,
+            toggles=toggles,
         )
         run_stage("write", Path(args.json).write_text, doc, encoding="utf-8")
     if args.metrics:
-        extra = {"vertex_touches": run_stage("metrics", count_vertex_touches, layout)}
-        run_stage("write", sys.stdout.write, metrics_block(result.metrics, extra))
+        touches = run_stage("metrics", count_vertex_touches, layout)
+        run_stage("write", sys.stdout.write, metrics_block(result.metrics, touches))
     return 0
 
 

@@ -1,42 +1,35 @@
-"""Pipeline orchestration: input to finished drawing, metrics on demand.
+"""Pipeline orchestration: graph to finished drawing, metrics on demand.
 
-Stages run in a fixed order -- parse or generate, cycle removal, topological
-sort, decomposition (given or computed), drawing (row placement and
-compaction, transitive bundling with lane packing and reorder, cross-edge
-gap routing, grid assembly), the property self-check. ``topo_sort`` keeps
-its ranks on the DAG, so the path cover and the drawing reuse them. Metrics
-are computed only when ``PipelineResult.metrics`` is first read. Any stage
-failure, a failed self-check included, is re-raised with the stage name. The
-wall-clock window that the benchmark reports covers cycle removal, the
-topological sort, and the drawing stages; parsing, the path-cover
-computation (part of the input in this framework), metrics, and file
-emission stay outside the clock. ``bench`` runs the pipeline over a
-generated suite and keeps one timed row per graph; medians over seeds damp
-scheduler noise.
+``run_pipeline_full`` takes a graph and runs its stages in a fixed order --
+cycle removal, topological sort, decomposition (parsed from the given path
+list, else a minimum path cover), drawing (row placement and compaction,
+transitive bundling with lane packing and reorder, cross-edge gap routing,
+grid assembly), the property self-check. ``read_graph`` reads and parses an
+edge-list file first. ``topo_sort`` keeps its ranks on the DAG, so the path
+cover and the drawing reuse them. Metrics are computed only when
+``PipelineResult.metrics`` is first read. Any stage failure, a failed
+self-check included, is re-raised with the stage name. The wall-clock window
+that the benchmark reports covers cycle removal, the topological sort, and
+the drawing stages; reading and parsing, the path-cover computation (part of
+the input in this framework), metrics, and file emission stay outside the
+clock. ``bench`` runs the pipeline over a generated suite and keeps one
+timed row per graph; medians over seeds damp scheduler noise.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from statistics import median
 
-from .decomposition import (
-    PathDecomposition,
-    min_path_cover,
-    parse_decomposition,
-)
+from .decomposition import min_path_cover, parse_decomposition
 from .drawing import Drawing, draw
 from .generator import generate_random_dag
 from .graph import DiGraph, parse_graph, remove_cycles, topo_sort
 from .layout import Layout, MetricsReport, assert_properties
 from .metrics import measure
-
-
-class ConfigError(Exception):
-    """Contradictory or incomplete pipeline configuration."""
 
 
 class InvariantError(Exception):
@@ -51,34 +44,10 @@ class StageError(Exception):
 
 
 @dataclass
-class PipelineConfig:
-    input_path: str | None = None
-    gen_n: int | None = None
-    gen_degree: float | None = None
-    seed: int | None = None
-    decomposition_path: str | None = None
-    compact: bool = True
-    bundle_transitive: bool = True
-    bundle_cross: bool = True
-    reorder: bool = True
-
-    def validate(self) -> None:
-        file_source = self.input_path is not None
-        gen_source = self.gen_n is not None or self.gen_degree is not None
-        if file_source == gen_source:
-            raise ConfigError("exactly one input source: a file or generator parameters")
-        if gen_source and (self.gen_n is None or self.gen_degree is None):
-            raise ConfigError("generator input needs both n and degree")
-
-
-@dataclass
 class PipelineResult:
     drawing: Drawing
     graph: DiGraph
-    decomposition: PathDecomposition
     draw_ms: float
-    toggles: dict[str, bool] = field(default_factory=dict)
-    seed: int | None = None
 
     @cached_property
     def metrics(self) -> MetricsReport:
@@ -99,33 +68,31 @@ def _self_check(g: DiGraph, layout: Layout) -> None:
         raise InvariantError(f"internal invariant violated: {violation}")
 
 
-def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
-    """Execute every enabled stage and keep the rich intermediate results."""
-    run_stage("config", config.validate)
-    if config.input_path is not None:
-        text = run_stage("read", Path(config.input_path).read_text, encoding="utf-8")
-        g = run_stage("parse", parse_graph, text)
-    else:
-        g = run_stage(
-            "generate",
-            generate_random_dag,
-            config.gen_n,
-            config.gen_degree,
-            config.seed if config.seed is not None else 0,
-        )
+def read_graph(path: str) -> DiGraph:
+    """Read and parse an edge-list file, each step in its own stage."""
+    text = run_stage("read", Path(path).read_text, encoding="utf-8")
+    return run_stage("parse", parse_graph, text)
 
+
+def run_pipeline_full(
+    g: DiGraph,
+    paths_text: str | None = None,
+    *,
+    compact: bool = True,
+    bundle_transitive: bool = True,
+    bundle_cross: bool = True,
+    reorder: bool = True,
+) -> PipelineResult:
+    """Draw ``g``, on the paths listed in ``paths_text`` or on a minimum path cover."""
     t0 = time.perf_counter()
     removal = run_stage("cycle-removal", remove_cycles, g)
     dag = removal.dag
     order = run_stage("topo-sort", topo_sort, dag)
     timed = time.perf_counter() - t0
 
-    if config.decomposition_path is not None:
-        text = run_stage(
-            "read-paths", Path(config.decomposition_path).read_text, encoding="utf-8"
-        )
+    if paths_text is not None:
         d = run_stage(
-            "decomposition", parse_decomposition, text, dag, removal.reversed_edges
+            "decomposition", parse_decomposition, paths_text, dag, removal.reversed_edges
         )
     else:
         d = run_stage("decomposition", min_path_cover, dag)
@@ -137,30 +104,17 @@ def run_pipeline_full(config: PipelineConfig) -> PipelineResult:
         dag,
         d,
         order,
-        compact_rows=config.compact,
-        bundle_transitive_edges=config.bundle_transitive,
-        bundle_cross_incoming=config.bundle_cross,
-        reorder=config.reorder,
+        compact_rows=compact,
+        bundle_transitive_edges=bundle_transitive,
+        bundle_cross_incoming=bundle_cross,
+        reorder=reorder,
     )
     timed += time.perf_counter() - t1
 
-    if config.compact:
+    if compact:
         run_stage("self-check", _self_check, dag, drawing.layout)
 
-    toggles = {
-        "compact": config.compact,
-        "bundle_transitive": config.bundle_transitive,
-        "bundle_cross": config.bundle_cross,
-        "reorder": config.reorder,
-    }
-    return PipelineResult(
-        drawing=drawing,
-        graph=dag,
-        decomposition=d,
-        draw_ms=timed * 1000.0,
-        toggles=toggles,
-        seed=config.seed,
-    )
+    return PipelineResult(drawing=drawing, graph=dag, draw_ms=timed * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -181,8 +135,8 @@ def bench(sizes, degree: float, seeds: int) -> list[BenchRow]:
     rows: list[BenchRow] = []
     for n in sizes:
         for s in range(1, seeds + 1):
-            config = PipelineConfig(gen_n=n, gen_degree=degree, seed=s)
-            result = run_pipeline_full(config)
+            g = run_stage("generate", generate_random_dag, n, degree, s)
+            result = run_pipeline_full(g)
             rows.append(
                 BenchRow(
                     graph_id=f"n{n}-d{degree}-s{s}",

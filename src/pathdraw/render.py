@@ -164,15 +164,9 @@ def render_json(
     )
 
 
-def metrics_block(metrics: MetricsReport, extra: dict[str, object] | None = None) -> str:
-    """Flat key-value text block, one metric per line."""
-    rows = [
-        ("crossings", metrics.crossings),
-        ("bends", metrics.bends),
-        ("width", metrics.width),
-        ("height", metrics.height),
-        ("area", metrics.area),
-    ]
-    if extra:
-        rows.extend(sorted(extra.items()))
-    return "\n".join(f"{k} {v}" for k, v in rows) + "\n"
+def metrics_block(metrics: MetricsReport, vertex_touches: int) -> str:
+    """Flat key-value text block, one metric per line, vertex touches last."""
+    return (
+        f"crossings {metrics.crossings}\nbends {metrics.bends}\nwidth {metrics.width}\n"
+        f"height {metrics.height}\narea {metrics.area}\nvertex_touches {vertex_touches}\n"
+    )

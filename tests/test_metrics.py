@@ -265,9 +265,9 @@ class TestMeasure:
     def test_fields_recomputable_from_json(self):
         import json
 
-        from pathdraw import render_json, run_pipeline_full, PipelineConfig
+        from pathdraw import generate_random_dag, render_json, run_pipeline_full
 
-        result = run_pipeline_full(PipelineConfig(gen_n=20, gen_degree=1.55, seed=1))
+        result = run_pipeline_full(generate_random_dag(20, 1.55, seed=1))
         doc = json.loads(
             render_json(
                 result.drawing.layout,

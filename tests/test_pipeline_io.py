@@ -18,7 +18,6 @@ from pathdraw import (
     DiGraph,
     GraphError,
     PathDecomposition,
-    PipelineConfig,
     StageError,
     bench,
     draw,
@@ -26,6 +25,7 @@ from pathdraw import (
     measure,
     median_wall_ms,
     min_path_cover,
+    parse_graph,
     render_json,
     render_svg,
     rows_to_csv,
@@ -39,6 +39,8 @@ from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+
+ALL_ON = {"bundle_cross": True, "bundle_transitive": True, "compact": True, "reorder": True}
 
 
 class TestGenerator:
@@ -85,40 +87,32 @@ class TestGenerator:
 
 
 class TestRunPipeline:
-    def test_chain_height_is_longest_path(self, tmp_path):
+    def test_chain_height_is_longest_path(self):
         g = DiGraph.build(6, [(i, i + 1) for i in range(5)])
-        path = tmp_path / "chain.edges"
-        path.write_text(serialize_graph(g))
-        result = run_pipeline_full(PipelineConfig(input_path=str(path)))
+        result = run_pipeline_full(g)
         assert result.metrics.height == 5  # a chain's longest path is n-1
 
-    def test_diamond_with_given_paths(self, tmp_path, diamond, diamond_paths):
-        gfile = tmp_path / "diamond.edges"
-        gfile.write_text(serialize_graph(diamond))
-        pfile = tmp_path / "diamond.paths"
-        pfile.write_text("0 1 3\n2\n")
-        result = run_pipeline_full(
-            PipelineConfig(input_path=str(gfile), decomposition_path=str(pfile))
-        )
+    def test_diamond_with_given_paths(self, diamond):
+        result = run_pipeline_full(diamond, "0 1 3\n2\n")
         cats = sorted(result.drawing.layout.category.values())
         assert cats.count("transitive") == 0
         assert cats.count("cross") == 2
 
     def test_generated_input_completes(self):
-        result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
+        result = run_pipeline_full(generate_random_dag(100, 1.6, seed=9))
         metrics = result.metrics
         assert metrics.area == metrics.width * metrics.height
         assert len(result.drawing.layout.x) == 100
 
     def test_generated_input_json_schema(self):
-        result = run_pipeline_full(PipelineConfig(gen_n=100, gen_degree=1.6, seed=9))
+        result = run_pipeline_full(generate_random_dag(100, 1.6, seed=9))
         doc = json.loads(
             render_json(
                 result.drawing.layout,
                 result.metrics,
                 bundles=result.drawing.bundles,
-                seed=result.seed,
-                toggles=result.toggles,
+                seed=9,
+                toggles=ALL_ON,
             )
         )
         assert set(doc) == {"vertices", "edges", "bundles", "metrics", "meta"}
@@ -138,16 +132,8 @@ class TestRunPipeline:
         assert set(doc["metrics"]) == {"crossings", "bends", "width", "height", "area"}
         assert set(doc["meta"]) == {"seed", "toggles", "version"}
 
-    def test_conflicting_sources_rejected(self, tmp_path):
-        with pytest.raises(StageError, match="config"):
-            run_pipeline_full(PipelineConfig(input_path="x", gen_n=5, gen_degree=1.0))
-        with pytest.raises(StageError, match="config"):
-            run_pipeline_full(PipelineConfig())
-
-    def test_cyclic_input_is_drawn_after_edge_reversal(self, tmp_path):
-        cyclic = tmp_path / "cyclic.edges"
-        cyclic.write_text("4\n0 1\n1 2\n2 0\n2 3\n3 1\n")
-        result = run_pipeline_full(PipelineConfig(input_path=str(cyclic)))
+    def test_cyclic_input_is_drawn_after_edge_reversal(self):
+        result = run_pipeline_full(parse_graph("4\n0 1\n1 2\n2 0\n2 3\n3 1\n"))
         layout, metrics = result.drawing.layout, result.metrics
         assert len(layout.x) == 4
         for (u, v), route in layout.routes.items():
@@ -159,11 +145,11 @@ class TestRunPipeline:
         bad = tmp_path / "bad.edges"
         bad.write_text("2\n0 0\n")
         with pytest.raises(StageError, match="stage 'parse'"):
-            run_pipeline_full(PipelineConfig(input_path=str(bad)))
+            pathdraw.pipeline.read_graph(str(bad))
 
     def test_missing_file_names_stage(self):
         with pytest.raises(StageError, match="stage 'read'"):
-            run_pipeline_full(PipelineConfig(input_path="/nonexistent/file.edges"))
+            pathdraw.pipeline.read_graph("/nonexistent/file.edges")
 
 
 class TestToggles:
@@ -259,13 +245,13 @@ class TestRenderJson:
         }
 
     def test_round_trip_is_byte_identical(self):
-        result = run_pipeline_full(PipelineConfig(gen_n=30, gen_degree=1.6, seed=5))
+        result = run_pipeline_full(generate_random_dag(30, 1.6, seed=5))
         text = render_json(
             result.drawing.layout,
             result.metrics,
             bundles=result.drawing.bundles,
-            seed=result.seed,
-            toggles=result.toggles,
+            seed=5,
+            toggles=ALL_ON,
         )
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
@@ -330,6 +316,16 @@ class TestCli:
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["layout", "/does/not/exist"]) == 2
+        assert "stage 'read'" in capsys.readouterr().err
+
+    def test_seed_and_toggles_are_echoed_in_meta(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        out = tmp_path / "g.json"
+        assert main(["layout", str(edges), "--seed", "7", "--no-reorder", "--json", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["seed"] == 7
+        assert meta["toggles"] == {**ALL_ON, "reorder": False}
 
     @pytest.mark.parametrize("bad, stage", [("g.edges", "read"), ("g.paths", "read-paths")])
     def test_undecodable_file_exits_2(self, tmp_path, capsys, bad, stage):
