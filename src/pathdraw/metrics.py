@@ -10,7 +10,7 @@ crossing either; it is reported separately as a layout-quality warning.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from math import gcd
 
 from .layout import Layout, MetricsReport, Point
@@ -46,20 +46,23 @@ def count_crossings(layout: Layout) -> int:
 
     Orthogonal segment intersection reporting (Bentley & Wood 1980): every
     route is split into horizontal, vertical and diagonal segments, and the
-    distinct endpoint rows are swept top to bottom with a sorted list of the
-    verticals that strictly span the current row. A horizontal reports the
-    verticals whose columns lie strictly inside its x-range; on integers
-    that is exactly a proper crossing, so no predicate is needed. A diagonal
-    meets a horizontal only on one of its interior rows, where an exact
-    integer comparison decides. Against verticals and other diagonals, a
-    diagonal is checked in every slab between consecutive sweep rows that
-    it spans: a candidate that crosses it strictly inside the slab is
-    decided by integer comparisons, and one that meets it only on a slab
-    boundary row is settled with ``segments_properly_cross``. Reported
-    segment pairs are deduplicated into route pairs, since two routes can
-    cross more than once. With the diagonals ``draw`` emits (one or two
-    rows each) the cost is O((s + K) log s) for s segments and K segment
-    crossings reported.
+    distinct endpoint rows are swept top to bottom with a column-sorted list
+    of the verticals that strictly span the current row, and beside it the
+    list of their route ids. A horizontal crosses exactly the verticals
+    whose columns lie strictly inside its x-range, a slice of the sorted
+    list, and adds their route pairs with one set update. A diagonal is cut
+    at the sweep rows into slab pieces; a vertical whose column lies
+    strictly between the piece's ends crosses it strictly inside the slab,
+    so that slice is added the same way, and only the at most two columns
+    where the piece ends exactly on a column are settled with
+    ``segments_properly_cross``. A diagonal meets a horizontal only on one
+    of its interior rows, and another diagonal inside a slab, where exact
+    integer comparisons decide. Route pairs are deduplicated in a set of
+    integers, ``i * R + j`` for routes ``i < j`` of ``R``, since two routes
+    can cross more than once. With the diagonals ``draw`` emits (one or two
+    rows each), this costs O((s + K) log s) time and O(K) memory for s
+    segments and K segment crossings reported, until crossings are counted
+    as crossing points rather than reported as route pairs.
     """
     horizontals: dict[int, list[tuple[int, int, int]]] = {}  # row -> (x0, x1, route)
     v_start: dict[int, list[tuple[int, int, int, int]]] = {}  # y0 -> (x, route, y0, y1)
@@ -85,29 +88,33 @@ def count_crossings(layout: Layout) -> int:
         hs.sort()
     h_rows = sorted(horizontals)
 
-    pairs: set[tuple[int, int]] = set()
+    r = len(layout.routes)
+    pairs: set[int] = set()  # i * r + j for crossing routes i < j
     rows = sorted(
         horizontals.keys() | v_start.keys() | v_end.keys() | d_start.keys() | d_end.keys()
     )
     verticals: list[tuple[int, int, int, int]] = []  # sorted by column
+    vroutes: list[int] = []  # the route of each entry of verticals
     active: set[int] = set()  # diagonals spanning the slab below the row
     for i, row in enumerate(rows):
         for item in v_end.get(row, ()):
-            del verticals[bisect_left(verticals, item)]
+            k = bisect_left(verticals, item)
+            del verticals[k], vroutes[k]
         # here verticals holds exactly those with y0 < row < y1
         for x0, x1, rh in horizontals.get(row, ()):
             lo = bisect_left(verticals, (x0 + 1,))
-            hi = bisect_left(verticals, (x1,))
-            for _, rv, _, _ in verticals[lo:hi]:
-                if rv != rh:
-                    pairs.add((rh, rv) if rh < rv else (rv, rh))
+            hi = bisect_left(verticals, (x1,), lo)
+            if lo < hi:
+                pairs.update(_pair_keys(rh, vroutes[lo:hi], r))
         for item in v_start.get(row, ()):
-            insort(verticals, item)
+            k = bisect_left(verticals, item)
+            verticals.insert(k, item)
+            vroutes.insert(k, item[1])
         for k in d_end.get(row, ()):
             active.remove(k)
         for k in d_start.get(row, ()):
             active.add(k)
-            _diagonal_meets_horizontals(diagonals[k], h_rows, horizontals, pairs)
+            _diagonal_meets_horizontals(diagonals[k], h_rows, horizontals, pairs, r)
         if not active:
             continue
         # slab (row, below): every vertical and diagonal left active covers it
@@ -122,13 +129,17 @@ def count_crossings(layout: Layout) -> int:
             bottom = a[0] * dy + (below - a[1]) * dx
             left, right = min(top, bottom), max(top, bottom)
             lo = bisect_left(verticals, (-(-left // dy),))
-            hi = bisect_left(verticals, (right // dy + 1,))
-            for x, rv, y0, y1 in verticals[lo:hi]:
-                # strictly inside the piece, the crossing is strictly inside the slab
-                if rv != rd and (
-                    left < x * dy < right or segments_properly_cross(a, b, (x, y0), (x, y1))
-                ):
-                    pairs.add((rd, rv) if rd < rv else (rv, rd))
+            hi = bisect_left(verticals, (right // dy + 1,), lo)
+            if lo < hi:
+                # left < x * dy < right: the crossing is strictly inside the slab
+                inner_lo = bisect_left(verticals, (left // dy + 1,), lo, hi)
+                inner_hi = bisect_left(verticals, (-(-right // dy),), inner_lo, hi)
+                if inner_lo < inner_hi:
+                    pairs.update(_pair_keys(rd, vroutes[inner_lo:inner_hi], r))
+                # x * dy equal to an end: the diagonal meets it on a slab boundary row
+                for x, rv, y0, y1 in verticals[lo:inner_lo] + verticals[inner_hi:hi]:
+                    if rv != rd and segments_properly_cross(a, b, (x, y0), (x, y1)):
+                        pairs.add(rd * r + rv if rd < rv else rv * r + rd)
             pieces.append((left // dy, -(-right // dy), rd, a, b, top, bottom, dy))
         pieces.sort()
         for j, (_, right_j, rj, aj, bj, top_j, bottom_j, dy_j) in enumerate(pieces):
@@ -141,15 +152,21 @@ def count_crossings(layout: Layout) -> int:
                 # rows: strictly opposite means a crossing strictly inside
                 order = (top_j * dy_k - top_k * dy_j) * (bottom_j * dy_k - bottom_k * dy_j)
                 if order < 0 or (order == 0 and segments_properly_cross(aj, bj, ak, bk)):
-                    pairs.add((rj, rk) if rj < rk else (rk, rj))
+                    pairs.add(rj * r + rk if rj < rk else rk * r + rj)
     return len(pairs)
+
+
+def _pair_keys(route: int, others: list[int], r: int) -> list[int]:
+    """The pair keys of ``route`` with each of ``others`` but itself."""
+    return [o * r + route if o < route else route * r + o for o in others if o != route]
 
 
 def _diagonal_meets_horizontals(
     diagonal: tuple[int, Point, Point],
     h_rows: list[int],
     horizontals: dict[int, list[tuple[int, int, int]]],
-    pairs: set[tuple[int, int]],
+    pairs: set[int],
+    r: int,
 ) -> None:
     """Record the horizontals a diagonal crosses on its interior rows.
 
@@ -165,7 +182,7 @@ def _diagonal_meets_horizontals(
         hs = horizontals[row]
         for x0, x1, rh in hs[: bisect_left(hs, (-(-at // dy),))]:
             if x0 * dy < at < x1 * dy and rh != rd:
-                pairs.add((rh, rd) if rh < rd else (rd, rh))
+                pairs.add(rh * r + rd if rh < rd else rd * r + rh)
 
 
 def count_bends(layout: Layout) -> int:
@@ -190,8 +207,10 @@ def measure(layout: Layout) -> MetricsReport:
     """Full report: crossings, bends, and the enclosing-rectangle numbers.
 
     Width counts distinct columns used by vertices or route points (lanes
-    included); height is the count of distinct rows in use minus one, i.e.
-    the maximum row index; area is their product.
+    included); height is the count of distinct rows in use minus one; area
+    is their product. On every drawing ``draw`` makes the rows run 0..h
+    with no gap, so the height is also the maximum row index; on a
+    ``Layout`` with gaps between its rows, or rows below 0, it is not.
     """
     xs = set(layout.x.values())
     ys = set(layout.y.values())
@@ -215,31 +234,32 @@ def count_vertex_touches(layout: Layout) -> int:
 
     These are conservative non-crossings for the metric; each (edge, vertex)
     incidence counts once so drawings can be flagged for review. Vertices
-    are looked up, not scanned: verticals and horizontals bisect the sorted
-    vertices of their column or row, and diagonals visit their lattice
-    points.
+    are looked up, not scanned: each row and each column keeps its vertices
+    as two parallel tuples, the sorted coordinates along the line and the
+    vertex ids, so a vertical or horizontal adds the ids of the slice it
+    spans in one set update; diagonals visit their lattice points.
     """
     at: dict[Point, list[int]] = {}
-    by_column: dict[int, list[tuple[int, int]]] = {}  # x -> sorted (y, vertex)
-    by_row: dict[int, list[tuple[int, int]]] = {}  # y -> sorted (x, vertex)
+    by_column: dict[int, list[tuple[int, int]]] = {}  # x -> (y, vertex)
+    by_row: dict[int, list[tuple[int, int]]] = {}  # y -> (x, vertex)
     for v, x in layout.x.items():
         y = layout.y[v]
         at.setdefault((x, y), []).append(v)
         by_column.setdefault(x, []).append((y, v))
         by_row.setdefault(y, []).append((x, v))
-    for line in (*by_column.values(), *by_row.values()):
-        line.sort()
+    # line -> (sorted coordinates along it, the vertex at each)
+    columns = {x: tuple(zip(*sorted(line))) for x, line in by_column.items()}
+    rows = {y: tuple(zip(*sorted(line))) for y, line in by_row.items()}
     touches = 0
     for (u, w), route in layout.routes.items():
         hit: set[int] = set()
         for a, b in route_segments(route):
             if a[0] == b[0] or a[1] == b[1]:
-                line, axis = (by_column.get(a[0]), 1) if a[0] == b[0] else (by_row.get(a[1]), 0)
+                line, axis = (columns.get(a[0]), 1) if a[0] == b[0] else (rows.get(a[1]), 0)
                 if line:
+                    coords, ids = line
                     lo, hi = sorted((a[axis], b[axis]))
-                    hit.update(
-                        v for _, v in line[bisect_left(line, (lo,)) : bisect_left(line, (hi + 1,))]
-                    )
+                    hit.update(ids[bisect_left(coords, lo) : bisect_right(coords, hi)])
             else:
                 dx = b[0] - a[0]
                 dy = b[1] - a[1]

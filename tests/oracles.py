@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right, insort
 from heapq import heapify, heappop, heappush
 from itertools import permutations
+from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
 
 from pathdraw import DiGraph, PathDecomposition, __version__
 from pathdraw.bundling import BundleInterval, LanePacking
+from pathdraw.layout import Layout
 
 
 def longest_ending_at_bruteforce(g: DiGraph) -> dict[int, int]:
@@ -128,6 +131,46 @@ def vertex_touches_bruteforce(positions: dict, routes: dict) -> int:
                     touches += 1
                     break
     return touches
+
+
+def arbitrary_layout(rng: random.Random) -> Layout:
+    """Random integer polylines between random vertex positions.
+
+    Routes step horizontally, vertically, in place, or to any point of a
+    box around the origin, so negative coordinates, diagonals of every
+    slope and length, T-junctions, collinear overlaps and repeated
+    crossings between one pair of routes all occur. A few routes are empty
+    or a single point. Vertices may share a grid point.
+    """
+    n = rng.randint(2, 10)
+    r = rng.choice((3, 6, 12))
+    pos = {v: (rng.randint(-r, r), rng.randint(-r, r)) for v in range(n)}
+    routes = {}
+    for _ in range(rng.randint(1, 12)):
+        u, w = rng.sample(range(n), 2)
+        pts = [pos[u]]
+        for _ in range(rng.randint(0, 4)):
+            x, y = pts[-1]
+            step = rng.random()
+            if step < 0.3:
+                pts.append((rng.randint(-r, r), y))
+            elif step < 0.6:
+                pts.append((x, rng.randint(-r, r)))
+            elif step < 0.7:
+                pts.append((x, y))
+            else:
+                pts.append((rng.randint(-r, r), rng.randint(-r, r)))
+        pts.append(pos[w])
+        kind = rng.random()
+        routes[(u, w)] = () if kind < 0.05 else tuple(pts[:1] if kind < 0.08 else pts)
+    return Layout(
+        x={v: p[0] for v, p in pos.items()},
+        y={v: p[1] for v, p in pos.items()},
+        routes=routes,
+        category={e: "cross" for e in routes},
+        column_meta={},
+        paths=tuple((v,) for v in pos),
+    )
 
 
 def segment_count(routes: dict) -> int:
@@ -642,3 +685,152 @@ def transitive_bundles_reference(d: PathDecomposition, classification, rows):
                 if outdeg[u]:
                     heappush(heap, (-len(outdeg[u]), u, 1))
     return out
+
+
+def _segments(route) -> list:
+    return [(a, b) for a, b in zip(route, route[1:]) if a != b]
+
+
+def count_crossings_reference(layout) -> int:
+    """The row sweep that reports each crossing segment pair as a route-pair tuple.
+
+    Same definition and sweep as ``pathdraw.metrics.count_crossings``, one
+    loop step and one tuple per crossing found: horizontals and diagonals
+    test every vertical of their column range one at a time.
+    """
+    horizontals: dict[int, list[tuple[int, int, int]]] = {}  # row -> (x0, x1, route)
+    v_start: dict[int, list[tuple[int, int, int, int]]] = {}  # y0 -> (x, route, y0, y1)
+    v_end: dict[int, list[tuple[int, int, int, int]]] = {}  # y1 -> same
+    diagonals: list[tuple[int, tuple, tuple]] = []  # (route, upper end, lower end)
+    d_start: dict[int, list[int]] = {}  # row -> diagonal indices
+    d_end: dict[int, list[int]] = {}
+    for rid, route in enumerate(layout.routes.values()):
+        for a, b in _segments(route):
+            if (a[1], a[0]) > (b[1], b[0]):
+                a, b = b, a
+            if a[1] == b[1]:
+                horizontals.setdefault(a[1], []).append((a[0], b[0], rid))
+            elif a[0] == b[0]:
+                item = (a[0], rid, a[1], b[1])
+                v_start.setdefault(a[1], []).append(item)
+                v_end.setdefault(b[1], []).append(item)
+            else:
+                d_start.setdefault(a[1], []).append(len(diagonals))
+                d_end.setdefault(b[1], []).append(len(diagonals))
+                diagonals.append((rid, a, b))
+    for hs in horizontals.values():
+        hs.sort()
+    h_rows = sorted(horizontals)
+
+    pairs: set[tuple[int, int]] = set()
+    rows = sorted(
+        horizontals.keys() | v_start.keys() | v_end.keys() | d_start.keys() | d_end.keys()
+    )
+    verticals: list[tuple[int, int, int, int]] = []  # sorted by column
+    active: set[int] = set()  # diagonals spanning the slab below the row
+    for i, row in enumerate(rows):
+        for item in v_end.get(row, ()):
+            del verticals[bisect_left(verticals, item)]
+        # here verticals holds exactly those with y0 < row < y1
+        for x0, x1, rh in horizontals.get(row, ()):
+            lo = bisect_left(verticals, (x0 + 1,))
+            hi = bisect_left(verticals, (x1,))
+            for _, rv, _, _ in verticals[lo:hi]:
+                if rv != rh:
+                    pairs.add((rh, rv) if rh < rv else (rv, rh))
+        for item in v_start.get(row, ()):
+            insort(verticals, item)
+        for k in d_end.get(row, ()):
+            active.remove(k)
+        for k in d_start.get(row, ()):
+            active.add(k)
+            _diagonal_meets_horizontals_reference(diagonals[k], h_rows, horizontals, pairs)
+        if not active:
+            continue
+        # slab (row, below): every vertical and diagonal left active covers it
+        below = rows[i + 1]
+        pieces = []
+        for k in active:
+            rd, a, b = diagonals[k]
+            dy = b[1] - a[1]
+            dx = b[0] - a[0]
+            # dy times the diagonal's x at the slab's top and bottom rows
+            top = a[0] * dy + (row - a[1]) * dx
+            bottom = a[0] * dy + (below - a[1]) * dx
+            left, right = min(top, bottom), max(top, bottom)
+            lo = bisect_left(verticals, (-(-left // dy),))
+            hi = bisect_left(verticals, (right // dy + 1,))
+            for x, rv, y0, y1 in verticals[lo:hi]:
+                # strictly inside the piece, the crossing is strictly inside the slab
+                if rv != rd and (
+                    left < x * dy < right or _proper(a, b, (x, y0), (x, y1))
+                ):
+                    pairs.add((rd, rv) if rd < rv else (rv, rd))
+            pieces.append((left // dy, -(-right // dy), rd, a, b, top, bottom, dy))
+        pieces.sort()
+        for j, (_, right_j, rj, aj, bj, top_j, bottom_j, dy_j) in enumerate(pieces):
+            for left_k, _, rk, ak, bk, top_k, bottom_k, dy_k in pieces[j + 1 :]:
+                if left_k > right_j:
+                    break
+                if rj == rk:
+                    continue
+                # the signs of their x difference at the slab's top and bottom
+                # rows: strictly opposite means a crossing strictly inside
+                order = (top_j * dy_k - top_k * dy_j) * (bottom_j * dy_k - bottom_k * dy_j)
+                if order < 0 or (order == 0 and _proper(aj, bj, ak, bk)):
+                    pairs.add((rj, rk) if rj < rk else (rk, rj))
+    return len(pairs)
+
+
+def _diagonal_meets_horizontals_reference(diagonal, h_rows, horizontals, pairs) -> None:
+    """Record the horizontals a diagonal crosses on its interior rows."""
+    rd, a, b = diagonal
+    dy = b[1] - a[1]
+    dx = b[0] - a[0]
+    for row in h_rows[bisect_right(h_rows, a[1]) : bisect_left(h_rows, b[1])]:
+        at = a[0] * dy + (row - a[1]) * dx  # dy times the diagonal's x on this row
+        hs = horizontals[row]
+        for x0, x1, rh in hs[: bisect_left(hs, (-(-at // dy),))]:
+            if x0 * dy < at < x1 * dy and rh != rd:
+                pairs.add((rh, rd) if rh < rd else (rd, rh))
+
+
+def count_vertex_touches_reference(layout) -> int:
+    """Vertex touches looked up in per-line sorted (coordinate, vertex) tuples.
+
+    Same lookups as ``pathdraw.metrics.count_vertex_touches``; each vertex
+    found on a horizontal or vertical is unpacked from its tuple one at a
+    time.
+    """
+    at: dict[tuple, list[int]] = {}
+    by_column: dict[int, list[tuple[int, int]]] = {}  # x -> sorted (y, vertex)
+    by_row: dict[int, list[tuple[int, int]]] = {}  # y -> sorted (x, vertex)
+    for v, x in layout.x.items():
+        y = layout.y[v]
+        at.setdefault((x, y), []).append(v)
+        by_column.setdefault(x, []).append((y, v))
+        by_row.setdefault(y, []).append((x, v))
+    for line in (*by_column.values(), *by_row.values()):
+        line.sort()
+    touches = 0
+    for (u, w), route in layout.routes.items():
+        hit: set[int] = set()
+        for a, b in _segments(route):
+            if a[0] == b[0] or a[1] == b[1]:
+                line, axis = (by_column.get(a[0]), 1) if a[0] == b[0] else (by_row.get(a[1]), 0)
+                if line:
+                    lo, hi = sorted((a[axis], b[axis]))
+                    hit.update(
+                        v for _, v in line[bisect_left(line, (lo,)) : bisect_left(line, (hi + 1,))]
+                    )
+            else:
+                dx = b[0] - a[0]
+                dy = b[1] - a[1]
+                steps = gcd(dx, dy)
+                sx, sy = dx // steps, dy // steps
+                for k in range(steps + 1):
+                    hit.update(at.get((a[0] + k * sx, a[1] + k * sy), ()))
+        hit.discard(u)
+        hit.discard(w)
+        touches += len(hit)
+    return touches

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from oracles import crossing_pairs_bruteforce, segment_count, vertex_touches_bruteforce
+from oracles import (
+    arbitrary_layout,
+    crossing_pairs_bruteforce,
+    segment_count,
+    vertex_touches_bruteforce,
+)
 from pathdraw import (
     DiGraph,
     PathDecomposition,
@@ -82,46 +87,6 @@ def _positions(layout):
     return {v: (layout.x[v], layout.y[v]) for v in layout.x}
 
 
-def _arbitrary_layout(rng: random.Random) -> Layout:
-    """Random integer polylines between random vertex positions.
-
-    Routes step horizontally, vertically, in place, or to any point of a
-    box around the origin, so negative coordinates, diagonals of every
-    slope and length, T-junctions, collinear overlaps and repeated
-    crossings between one pair of routes all occur. A few routes are empty
-    or a single point. Vertices may share a grid point.
-    """
-    n = rng.randint(2, 10)
-    r = rng.choice((3, 6, 12))
-    pos = {v: (rng.randint(-r, r), rng.randint(-r, r)) for v in range(n)}
-    routes = {}
-    for _ in range(rng.randint(1, 12)):
-        u, w = rng.sample(range(n), 2)
-        pts = [pos[u]]
-        for _ in range(rng.randint(0, 4)):
-            x, y = pts[-1]
-            step = rng.random()
-            if step < 0.3:
-                pts.append((rng.randint(-r, r), y))
-            elif step < 0.6:
-                pts.append((x, rng.randint(-r, r)))
-            elif step < 0.7:
-                pts.append((x, y))
-            else:
-                pts.append((rng.randint(-r, r), rng.randint(-r, r)))
-        pts.append(pos[w])
-        kind = rng.random()
-        routes[(u, w)] = () if kind < 0.05 else tuple(pts[:1] if kind < 0.08 else pts)
-    return Layout(
-        x={v: p[0] for v, p in pos.items()},
-        y={v: p[1] for v, p in pos.items()},
-        routes=routes,
-        category={e: "cross" for e in routes},
-        column_meta={},
-        paths=tuple((v,) for v in pos),
-    )
-
-
 def _chains_layout(k: int, length: int, seed: int) -> Layout:
     """k chains drawn as the paths, with skip edges bundled onto lane trunks
     and cross edges one to four positions down another chain."""
@@ -194,7 +159,7 @@ class TestCountersAgainstOracles:
     def test_arbitrary_integer_polylines(self):
         rng = random.Random(20220909)
         for _ in range(3000):
-            lay = _arbitrary_layout(rng)
+            lay = arbitrary_layout(rng)
             assert count_crossings(lay) == len(crossing_pairs_bruteforce(lay.routes))
             assert count_vertex_touches(lay) == vertex_touches_bruteforce(
                 _positions(lay), lay.routes

@@ -1,11 +1,13 @@
 """The rewritten per-edge loops against their earlier forms in oracles.py.
 
 Adjacency construction, cycle removal, gap occupants and SVG rendering were
-rewritten to touch each edge a constant number of times, and the JSON
-document is written by template rather than through ``json.dumps``. Each
-must give exactly what the plainer form gave, on seeded inputs that include
-2-cycles, shuffled edge orders, empty graphs, hidden transitive edges and
-layouts with coordinates left of, above and below zero.
+rewritten to touch each edge a constant number of times, the JSON document
+is written by template rather than through ``json.dumps``, and the crossing
+and vertex-touch counters report by slices of their sorted lists rather
+than one element at a time. Each must give exactly what the plainer form
+gave, on seeded inputs that include 2-cycles, shuffled edge orders, empty
+graphs, hidden transitive edges and layouts with coordinates left of, above
+and below zero.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ import pytest
 
 from oracles import (
     adjacency_reference,
+    arbitrary_layout,
     chains_dag,
+    count_crossings_reference,
+    count_vertex_touches_reference,
     cross_routes_of,
     cyclic_digraph_edges,
     gap_occupants_reference,
+    many_lane_dag,
     remove_cycles_reference,
     render_json_reference,
     render_svg_reference,
@@ -38,6 +44,7 @@ from pathdraw import (
 from pathdraw.decomposition import classify_edges
 from pathdraw.drawing import BundleRecord
 from pathdraw.layout import Layout, MetricsReport
+from pathdraw.metrics import count_crossings, count_vertex_touches
 from pathdraw.routing import gap_occupants
 
 
@@ -320,3 +327,141 @@ class TestRenderJson:
         assert render_json(layout, metrics, **args) == render_json_reference(
             layout, metrics, **args
         )
+
+
+def _routed(routes: dict, positions: dict | None = None) -> Layout:
+    """A layout whose vertices sit at their routes' ends, unless placed."""
+    positions = dict(positions or {})
+    for (u, w), route in routes.items():
+        positions.setdefault(u, route[0] if route else (0, 0))
+        positions.setdefault(w, route[-1] if route else (0, 0))
+    return _layout(
+        {v: p[0] for v, p in positions.items()}, {v: p[1] for v, p in positions.items()}, routes
+    )
+
+
+# (routes, crossings, touches); the counts are the all-pairs oracles' counts
+ADVERSARIAL = {
+    # the diagonal is at column 2 on row 1, a sweep row, inside the vertical
+    "diagonal-end-on-a-vertical-column": (
+        {(0, 1): ((0, 0), (4, 2)), (2, 3): ((2, -1), (2, 3)), (4, 5): ((10, 1), (12, 1))},
+        1,
+        0,
+    ),
+    # the same point where a vertical starts, and the diagonal's own end on another
+    "diagonal-end-on-a-vertical-end": (
+        {(0, 1): ((0, 0), (4, 2)), (2, 3): ((2, 1), (2, 5)), (4, 5): ((4, 2), (4, 6))},
+        0,
+        3,
+    ),
+    # route (0, 1) crosses its own diagonal at (2, 2), in the column slice of (2, 3)
+    "own-vertical-inside-the-diagonal-slice": (
+        {
+            (0, 1): ((0, 0), (4, 4), (2, 4), (2, -2)),
+            (2, 3): ((1, -1), (1, 5)),
+            (4, 5): ((3, -3), (3, 3)),
+        },
+        1,
+        1,
+    ),
+    "several-verticals-on-one-column": (
+        {
+            (0, 1): ((3, 0), (3, 6)),
+            (2, 3): ((3, 2), (3, 8)),
+            (4, 5): ((3, -4), (3, 1)),
+            (6, 7): ((0, 1), (6, 1)),
+            (8, 9): ((0, 3), (6, 5)),
+        },
+        3,
+        5,
+    ),
+    "t-junctions": (
+        {
+            (0, 1): ((0, 0), (0, 4)),
+            (2, 3): ((0, 2), (3, 2)),
+            (4, 5): ((-3, 3), (0, 3)),
+            (6, 7): ((-1, 1), (1, 1)),
+        },
+        1,
+        2,
+    ),
+    "collinear-overlapping-verticals": (
+        {
+            (0, 1): ((0, 0), (0, 5)),
+            (2, 3): ((0, 2), (0, 8)),
+            (4, 5): ((0, 3), (0, 4)),
+            (6, 7): ((-1, 3), (1, 3)),
+        },
+        2,
+        7,
+    ),
+    "empty-single-point-and-repeated-points": (
+        {
+            (0, 1): (),
+            (2, 3): ((1, 1),),
+            (4, 5): ((0, 0), (0, 0), (2, 2), (2, 2), (2, 0)),
+            (6, 7): ((2, 2), (0, 2), (0, 2)),
+            (8, 9): ((1, -1), (1, 1), (1, 1), (3, 3)),
+            (10, 11): ((-1, 1), (0, 1), (0, 1), (3, 1)),
+        },
+        1,
+        10,
+    ),
+    "negative-coordinates": (
+        {
+            (0, 1): ((-6, -6), (6, 6)),
+            (2, 3): ((-4, -5), (-4, 5)),
+            (4, 5): ((-5, 1), (5, 1)),
+            (6, 7): ((6, -6), (-6, 6)),
+            (8, 9): ((-9, -2), (-1, -8)),
+            (10, 11): ((-7, -7), (-7, -1), (-2, -1)),
+        },
+        9,
+        0,
+    ),
+}
+
+
+class TestCrossingAndTouchCounters:
+    def test_arbitrary_layouts(self):
+        rng = random.Random(20220909)
+        for _ in range(3000):
+            layout = arbitrary_layout(rng)
+            assert count_crossings(layout) == count_crossings_reference(layout)
+            assert count_vertex_touches(layout) == count_vertex_touches_reference(layout)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["uniform", "chains", "many-lanes"])
+    def test_drawn_layouts(self, case, seed):
+        if case == "uniform":
+            n = 100 + 100 * seed
+            g = DiGraph.build(n, uniform_dag_edges(n, 8 * n // 5, seed))
+            layout = draw(g, min_path_cover(g)).layout
+        elif case == "chains":
+            layout = draw(*chains_dag(4, 40, seed)).layout
+        else:
+            layout = draw(*many_lane_dag(20 + 30 * seed)).layout
+        crossings = count_crossings(layout)
+        assert crossings == count_crossings_reference(layout)
+        assert count_vertex_touches(layout) == count_vertex_touches_reference(layout)
+        assert crossings > 0
+
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_adversarial_layouts(self, case):
+        routes, crossings, touches = ADVERSARIAL[case]
+        layout = _routed(routes)
+        assert count_crossings(layout) == count_crossings_reference(layout) == crossings
+        assert count_vertex_touches(layout) == count_vertex_touches_reference(layout) == touches
+
+    def test_vertices_sharing_a_grid_point(self):
+        layout = _routed(
+            {
+                (0, 1): ((0, 0), (0, 5)),
+                (2, 3): ((0, 2), (0, 2)),
+                (4, 5): ((-2, -2), (2, 2)),
+                (6, 7): ((2, 2), (-2, 2)),
+            },
+            {2: (0, 2), 3: (0, 2), 6: (2, 2), 5: (2, 2)},
+        )
+        assert count_crossings(layout) == count_crossings_reference(layout) == 1
+        assert count_vertex_touches(layout) == count_vertex_touches_reference(layout) == 7

@@ -44,9 +44,10 @@ def _assert_all_traced(expected: dict[str, str], tracer) -> None:
     assert not missing, f"trace sites never called: {', '.join(missing)}"
 
 
-def test_cli_jobs_reach_every_cli_and_pipeline_site(tmp_path, capsys):
-    # each of these sites records a span name no other of them records
-    sites = _sites("pathdraw.cli", "pathdraw.pipeline")
+def test_cli_jobs_reach_every_cli_pipeline_and_metrics_site(tmp_path, capsys):
+    # each of these sites records a span name no other of them records;
+    # ``layout --json --metrics`` reaches the metrics sites through ``measure``
+    sites = _sites("pathdraw.cli", "pathdraw.pipeline", "pathdraw.metrics")
     expected = _expected_spans(sites)
     acyclic, cyclic, paths = (tmp_path / f for f in ("a.edges", "c.edges", "a.paths"))
     acyclic.write_text("3\n0 1\n1 2\n")
