@@ -1,6 +1,6 @@
 """Layout quality metrics: crossings, bends, width, height, area.
 
-All coordinates are grid integers, so orientation tests are exact and there
+All coordinates are grid integers, so every comparison is exact and there
 is no epsilon anywhere. A crossing is a pair of edge routes whose polylines
 cross transversally at a point that is not a shared endpoint vertex;
 touches, T-junctions, and collinear overlaps (bundle trunks) do not count.
@@ -18,21 +18,6 @@ from .layout import Layout, MetricsReport, Point
 Segment = tuple[Point, Point]
 
 
-def orientation(o: Point, a: Point, b: Point) -> int:
-    """Sign of the cross product (a - o) x (b - o): exact on integers."""
-    val = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-    return (val > 0) - (val < 0)
-
-
-def segments_properly_cross(p1: Point, q1: Point, p2: Point, q2: Point) -> bool:
-    """True when the open interiors of two segments cross transversally."""
-    d1 = orientation(p2, q2, p1)
-    d2 = orientation(p2, q2, q1)
-    d3 = orientation(p1, q1, p2)
-    d4 = orientation(p1, q1, q2)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 def route_segments(route: tuple[Point, ...]) -> list[Segment]:
     return [
         (route[i], route[i + 1])
@@ -48,16 +33,21 @@ def count_crossings(layout: Layout) -> int:
     route is split into horizontal, vertical and diagonal segments, and the
     distinct endpoint rows are swept top to bottom with a column-sorted list
     of the verticals that strictly span the current row, and beside it the
-    list of their route ids. A horizontal crosses exactly the verticals
-    whose columns lie strictly inside its x-range, a slice of the sorted
-    list, and adds their route pairs with one set update. A diagonal is cut
-    at the sweep rows into slab pieces; a vertical whose column lies
-    strictly between the piece's ends crosses it strictly inside the slab,
-    so that slice is added the same way, and only the at most two columns
-    where the piece ends exactly on a column are settled with
-    ``segments_properly_cross``. A diagonal meets a horizontal only on one
-    of its interior rows, and another diagonal inside a slab, where exact
-    integer comparisons decide. Route pairs are deduplicated in a set of
+    list of their route ids. Every crossing lies on a sweep row or strictly
+    inside the slab between two consecutive ones, and is settled there.
+
+    At a row's event, the verticals and diagonals left in the sweep all span
+    the row strictly, so each crossing on the row is proper exactly when
+    its point is interior to the other segment too. A horizontal on the row
+    crosses the verticals strictly inside its x-range, a slice of the sorted
+    list added with one set update, and the diagonals whose x on the row is
+    strictly inside that range. A diagonal crosses the verticals on its
+    column when its x on the row is a whole number, and another diagonal
+    with the same x and a different slope. In a slab, a diagonal crosses
+    the verticals strictly between its columns at the slab's top and bottom
+    rows, again one slice, and two diagonals cross when their order at the
+    top row is the reverse of their order at the bottom row. Every test is
+    an exact integer comparison. Route pairs are deduplicated in a set of
     integers, ``i * R + j`` for routes ``i < j`` of ``R``, since two routes
     can cross more than once. With the diagonals ``draw`` emits (one or two
     rows each), this costs O((s + K) log s) time and O(K) memory for s
@@ -67,7 +57,7 @@ def count_crossings(layout: Layout) -> int:
     horizontals: dict[int, list[tuple[int, int, int]]] = {}  # row -> (x0, x1, route)
     v_start: dict[int, list[tuple[int, int, int, int]]] = {}  # y0 -> (x, route, y0, y1)
     v_end: dict[int, list[tuple[int, int, int, int]]] = {}  # y1 -> same
-    diagonals: list[tuple[int, Point, Point]] = []  # (route, upper end, lower end)
+    diagonals: list[tuple[int, int, int, int, int]] = []  # (route, x0, y0, dx, dy), dy > 0
     d_start: dict[int, list[int]] = {}  # row -> diagonal indices
     d_end: dict[int, list[int]] = {}
     for rid, route in enumerate(layout.routes.values()):
@@ -83,16 +73,13 @@ def count_crossings(layout: Layout) -> int:
             else:
                 d_start.setdefault(a[1], []).append(len(diagonals))
                 d_end.setdefault(b[1], []).append(len(diagonals))
-                diagonals.append((rid, a, b))
+                diagonals.append((rid, a[0], a[1], b[0] - a[0], b[1] - a[1]))
     for hs in horizontals.values():
         hs.sort()
-    h_rows = sorted(horizontals)
 
     r = len(layout.routes)
     pairs: set[int] = set()  # i * r + j for crossing routes i < j
-    rows = sorted(
-        horizontals.keys() | v_start.keys() | v_end.keys() | d_start.keys() | d_end.keys()
-    )
+    rows = sorted({*horizontals, *v_start, *v_end, *d_start, *d_end})
     verticals: list[tuple[int, int, int, int]] = []  # sorted by column
     vroutes: list[int] = []  # the route of each entry of verticals
     active: set[int] = set()  # diagonals spanning the slab below the row
@@ -100,58 +87,65 @@ def count_crossings(layout: Layout) -> int:
         for item in v_end.get(row, ()):
             k = bisect_left(verticals, item)
             del verticals[k], vroutes[k]
-        # here verticals holds exactly those with y0 < row < y1
-        for x0, x1, rh in horizontals.get(row, ()):
+        for k in d_end.get(row, ()):
+            active.remove(k)
+        # the row event: every vertical and diagonal left spans the row strictly
+        hs = horizontals.get(row, ())
+        for x0, x1, rh in hs:
             lo = bisect_left(verticals, (x0 + 1,))
             hi = bisect_left(verticals, (x1,), lo)
             if lo < hi:
                 pairs.update(_pair_keys(rh, vroutes[lo:hi], r))
+        # x on the row as a reduced fraction -> (route, dx, dy) of the diagonals there
+        meeting: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for k in active:
+            rd, x, y, dx, dy = diagonals[k]
+            at = x * dy + (row - y) * dx  # dy times the diagonal's x on this row
+            for x0, x1, rh in hs[: bisect_left(hs, (-(-at // dy),))]:
+                if at < x1 * dy and rh != rd:
+                    pairs.add(rh * r + rd if rh < rd else rd * r + rh)
+            if at % dy == 0:
+                lo = bisect_left(verticals, (at // dy,))
+                hi = bisect_left(verticals, (at // dy + 1,), lo)
+                pairs.update(_pair_keys(rd, vroutes[lo:hi], r))
+            g = gcd(at, dy)
+            meeting.setdefault((at // g, dy // g), []).append((rd, dx, dy))
+        for group in meeting.values():
+            for j, (rj, dx_j, dy_j) in enumerate(group):
+                for rk, dx_k, dy_k in group[j + 1 :]:
+                    if rj != rk and dx_j * dy_k != dx_k * dy_j:
+                        pairs.add(rj * r + rk if rj < rk else rk * r + rj)
         for item in v_start.get(row, ()):
             k = bisect_left(verticals, item)
             verticals.insert(k, item)
             vroutes.insert(k, item[1])
-        for k in d_end.get(row, ()):
-            active.remove(k)
-        for k in d_start.get(row, ()):
-            active.add(k)
-            _diagonal_meets_horizontals(diagonals[k], h_rows, horizontals, pairs, r)
+        active.update(d_start.get(row, ()))
         if not active:
             continue
         # slab (row, below): every vertical and diagonal left active covers it
         below = rows[i + 1]
         pieces = []
         for k in active:
-            rd, a, b = diagonals[k]
-            dy = b[1] - a[1]
-            dx = b[0] - a[0]
+            rd, x, y, dx, dy = diagonals[k]
             # dy times the diagonal's x at the slab's top and bottom rows
-            top = a[0] * dy + (row - a[1]) * dx
-            bottom = a[0] * dy + (below - a[1]) * dx
+            top = x * dy + (row - y) * dx
+            bottom = x * dy + (below - y) * dx
             left, right = min(top, bottom), max(top, bottom)
-            lo = bisect_left(verticals, (-(-left // dy),))
-            hi = bisect_left(verticals, (right // dy + 1,), lo)
+            # left < x * dy < right: the crossing is strictly inside the slab
+            lo = bisect_left(verticals, (left // dy + 1,))
+            hi = bisect_left(verticals, (-(-right // dy),), lo)
             if lo < hi:
-                # left < x * dy < right: the crossing is strictly inside the slab
-                inner_lo = bisect_left(verticals, (left // dy + 1,), lo, hi)
-                inner_hi = bisect_left(verticals, (-(-right // dy),), inner_lo, hi)
-                if inner_lo < inner_hi:
-                    pairs.update(_pair_keys(rd, vroutes[inner_lo:inner_hi], r))
-                # x * dy equal to an end: the diagonal meets it on a slab boundary row
-                for x, rv, y0, y1 in verticals[lo:inner_lo] + verticals[inner_hi:hi]:
-                    if rv != rd and segments_properly_cross(a, b, (x, y0), (x, y1)):
-                        pairs.add(rd * r + rv if rd < rv else rv * r + rd)
-            pieces.append((left // dy, -(-right // dy), rd, a, b, top, bottom, dy))
+                pairs.update(_pair_keys(rd, vroutes[lo:hi], r))
+            pieces.append((left // dy, -(-right // dy), rd, top, bottom, dy))
         pieces.sort()
-        for j, (_, right_j, rj, aj, bj, top_j, bottom_j, dy_j) in enumerate(pieces):
-            for left_k, _, rk, ak, bk, top_k, bottom_k, dy_k in pieces[j + 1 :]:
+        for j, (_, right_j, rj, top_j, bottom_j, dy_j) in enumerate(pieces):
+            for left_k, _, rk, top_k, bottom_k, dy_k in pieces[j + 1 :]:
                 if left_k > right_j:
                     break
-                if rj == rk:
-                    continue
                 # the signs of their x difference at the slab's top and bottom
                 # rows: strictly opposite means a crossing strictly inside
                 order = (top_j * dy_k - top_k * dy_j) * (bottom_j * dy_k - bottom_k * dy_j)
-                if order < 0 or (order == 0 and segments_properly_cross(aj, bj, ak, bk)):
+                if order < 0 and rj != rk:
                     pairs.add(rj * r + rk if rj < rk else rk * r + rj)
     return len(pairs)
 
@@ -161,45 +155,19 @@ def _pair_keys(route: int, others: list[int], r: int) -> list[int]:
     return [o * r + route if o < route else route * r + o for o in others if o != route]
 
 
-def _diagonal_meets_horizontals(
-    diagonal: tuple[int, Point, Point],
-    h_rows: list[int],
-    horizontals: dict[int, list[tuple[int, int, int]]],
-    pairs: set[int],
-    r: int,
-) -> None:
-    """Record the horizontals a diagonal crosses on its interior rows.
-
-    On an interior row the diagonal's point is interior to it, so the pair
-    crosses properly exactly when that point lies strictly inside the
-    horizontal's x-range.
-    """
-    rd, a, b = diagonal
-    dy = b[1] - a[1]
-    dx = b[0] - a[0]
-    for row in h_rows[bisect_right(h_rows, a[1]) : bisect_left(h_rows, b[1])]:
-        at = a[0] * dy + (row - a[1]) * dx  # dy times the diagonal's x on this row
-        hs = horizontals[row]
-        for x0, x1, rh in hs[: bisect_left(hs, (-(-at // dy),))]:
-            if x0 * dy < at < x1 * dy and rh != rd:
-                pairs.add(rh * r + rd if rh < rd else rd * r + rh)
-
-
 def count_bends(layout: Layout) -> int:
-    """Interior polyline corners, summed over all drawn routes."""
+    """Interior polyline corners, summed over all drawn routes.
+
+    A point is a corner when its two segments are not collinear, or when
+    they are and the route reverses there.
+    """
     total = 0
     for route in layout.routes.values():
         for i in range(1, len(route) - 1):
-            if orientation(route[i - 1], route[i], route[i + 1]) != 0:
+            (x0, y0), (x1, y1), (x2, y2) = route[i - 1], route[i], route[i + 1]
+            dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+            if dx1 * dy2 != dy1 * dx2 or dx1 * dx2 + dy1 * dy2 < 0:
                 total += 1
-            else:
-                # collinear: a reversal still changes direction
-                ax = route[i][0] - route[i - 1][0]
-                ay = route[i][1] - route[i - 1][1]
-                bx = route[i + 1][0] - route[i][0]
-                by = route[i + 1][1] - route[i][1]
-                if ax * bx + ay * by < 0:
-                    total += 1
     return total
 
 

@@ -38,7 +38,8 @@ class InvariantError(Exception):
 
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}': {cause}")
+        # a cause with an empty message, such as MemoryError(), names its type
+        super().__init__(f"stage '{stage}': {str(cause) or type(cause).__name__}")
         self.stage = stage
         self.cause = cause
 

@@ -694,9 +694,11 @@ def _segments(route) -> list:
 def count_crossings_reference(layout) -> int:
     """The row sweep that reports each crossing segment pair as a route-pair tuple.
 
-    Same definition and sweep as ``pathdraw.metrics.count_crossings``, one
-    loop step and one tuple per crossing found: horizontals and diagonals
-    test every vertical of their column range one at a time.
+    Same definition and row sweep as ``pathdraw.metrics.count_crossings``,
+    one loop step and one tuple per crossing found: horizontals and
+    diagonals test every vertical of their column range one at a time, each
+    diagonal walks the horizontals on its interior rows, and a meeting on a
+    slab's boundary row is decided by the orientation test ``_proper``.
     """
     horizontals: dict[int, list[tuple[int, int, int]]] = {}  # row -> (x0, x1, route)
     v_start: dict[int, list[tuple[int, int, int, int]]] = {}  # y0 -> (x, route, y0, y1)

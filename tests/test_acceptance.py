@@ -13,6 +13,7 @@ from itertools import product
 from statistics import median
 
 from oracles import (
+    _orient,
     bends_for_distance,
     chains_dag,
     cross_routes_of,
@@ -27,7 +28,7 @@ from oracles import (
 from pathdraw import draw, generate_random_dag, min_path_cover, remove_cycles, topo_sort
 from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
-from pathdraw.metrics import count_crossings, orientation
+from pathdraw.metrics import count_crossings
 
 SIZES = (20, 50, 100)
 DEGREES = (1.6, 5.6)
@@ -111,7 +112,7 @@ def test_criterion_04_cross_edge_bend_rule():
             corners = sum(
                 1
                 for a, b, c in zip(route.polyline, route.polyline[1:], route.polyline[2:])
-                if orientation(a, b, c) != 0
+                if _orient(*a, *b, *c) != 0
             )
             assert route.bends == bends_for_distance(distance)
             assert corners == route.bends

@@ -20,7 +20,7 @@ from pathdraw import (
     min_path_cover,
 )
 from pathdraw.layout import Layout
-from pathdraw.metrics import count_crossings, count_vertex_touches, segments_properly_cross
+from pathdraw.metrics import count_crossings, count_vertex_touches
 
 
 def _toy_layout(routes, positions=None, categories=None):
@@ -54,14 +54,17 @@ class TestCrossingPredicate:
         assert count_crossings(lay) == 1
 
     def test_shared_endpoint_is_not_a_crossing(self):
-        assert not segments_properly_cross((0, 0), (2, 2), (2, 2), (4, 0))
+        lay = _toy_layout({(0, 1): ((0, 0), (2, 2)), (2, 3): ((2, 2), (4, 0))})
+        assert count_crossings(lay) == 0
 
     def test_t_junction_is_not_a_crossing(self):
         # one segment's endpoint lies interior to the other
-        assert not segments_properly_cross((0, 0), (0, 4), (0, 2), (3, 2))
+        lay = _toy_layout({(0, 1): ((0, 0), (0, 4)), (2, 3): ((0, 2), (3, 2))})
+        assert count_crossings(lay) == 0
 
     def test_collinear_overlap_is_not_a_crossing(self):
-        assert not segments_properly_cross((0, 0), (0, 5), (0, 2), (0, 8))
+        lay = _toy_layout({(0, 1): ((0, 0), (0, 5)), (2, 3): ((0, 2), (0, 8))})
+        assert count_crossings(lay) == 0
 
     def test_polyline_pair_crossing_found_on_any_segment(self):
         a = ((0, 0), (4, 0), (4, 4))

@@ -481,6 +481,18 @@ class TestCli:
         assert "boom" in err
         assert "Traceback" not in err
 
+    def test_exception_without_a_message_is_named_by_its_type(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise AssertionError()
+
+        monkeypatch.setattr(pathdraw.pipeline, "draw", broken)
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        assert main(["layout", str(edges)]) == 3
+        assert capsys.readouterr().err == "error: stage 'draw': AssertionError\n"
+
     def test_svg_alone_computes_no_metrics(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("metrics computed for --svg")

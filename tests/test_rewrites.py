@@ -23,6 +23,7 @@ from oracles import (
     count_crossings_reference,
     count_vertex_touches_reference,
     cross_routes_of,
+    crossing_pairs_bruteforce,
     cyclic_digraph_edges,
     gap_occupants_reference,
     many_lane_dag,
@@ -419,6 +420,61 @@ ADVERSARIAL = {
         9,
         0,
     ),
+    # (0, 1) and (2, 3) cross at (1/2, 1), and route (4, 5) crosses itself at
+    # (1, 1): row 1 is a sweep row interior to all four diagonals
+    "diagonals-crossing-on-a-sweep-row": (
+        {
+            (0, 1): ((0, 0), (1, 2)),
+            (2, 3): ((1, 0), (0, 2)),
+            (4, 5): ((3, -1), (-1, 3), (-1, -1), (3, 3)),
+            (6, 7): ((8, 1), (9, 1)),
+        },
+        3,
+        2,
+    ),
+    # (2, 3) lies on (0, 1), and row 2 is a sweep row interior to both
+    "collinear-overlapping-diagonals": (
+        {(0, 1): ((0, 0), (4, 4)), (2, 3): ((1, 1), (3, 3)), (4, 5): ((8, 2), (9, 2))},
+        0,
+        2,
+    ),
+    # a horizontal ends on both diagonals on row 2, and (0, 1) ends on the vertical
+    "parallel-diagonals": (
+        {
+            (0, 1): ((0, 0), (2, 4)),
+            (2, 3): ((3, 0), (5, 4)),
+            (4, 5): ((1, 2), (4, 2)),
+            (6, 7): ((2, -1), (2, 5)),
+            (8, 9): ((-1, 2), (6, 2)),
+        },
+        4,
+        5,
+    ),
+    # x = 2y/3 is whole on row 3, where a vertical and a horizontal cross it,
+    # and not on rows 1 and 2, where horizontals do; the route crosses itself
+    # on row 2
+    "long-diagonal-on-interior-rows": (
+        {
+            (0, 1): ((0, 0), (4, 6), (4, 2), (1, 2)),
+            (2, 3): ((2, 1), (2, 5)),
+            (4, 5): ((0, 3), (5, 3)),
+            (6, 7): ((0, 1), (3, 1)),
+            (8, 9): ((1, -1), (1, 7)),
+        },
+        7,
+        2,
+    ),
+    # one diagonal ends inside the horizontal and another starts inside it
+    "diagonal-ending-inside-a-horizontal": (
+        {
+            (0, 1): ((0, 0), (2, 2)),
+            (2, 3): ((3, 2), (5, 4)),
+            (4, 5): ((0, 2), (4, 2)),
+            (6, 7): ((1, 5), (1, -1)),
+        },
+        2,
+        2,
+    ),
 }
 
 
@@ -427,7 +483,9 @@ class TestCrossingAndTouchCounters:
         rng = random.Random(20220909)
         for _ in range(3000):
             layout = arbitrary_layout(rng)
-            assert count_crossings(layout) == count_crossings_reference(layout)
+            crossings = count_crossings(layout)
+            assert crossings == count_crossings_reference(layout)
+            assert crossings == len(crossing_pairs_bruteforce(layout.routes))
             assert count_vertex_touches(layout) == count_vertex_touches_reference(layout)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -451,6 +509,7 @@ class TestCrossingAndTouchCounters:
         routes, crossings, touches = ADVERSARIAL[case]
         layout = _routed(routes)
         assert count_crossings(layout) == count_crossings_reference(layout) == crossings
+        assert len(crossing_pairs_bruteforce(routes)) == crossings
         assert count_vertex_touches(layout) == count_vertex_touches_reference(layout) == touches
 
     def test_vertices_sharing_a_grid_point(self):
