@@ -47,8 +47,9 @@ print(f"bends, bundled vs unbundled cross: "
 
 same_rows = full.layout.y == no_transitive.layout.y
 k = len(cover.paths)
-same_order = sorted(range(k), key=full.layout.spine_of) == sorted(
-    range(k), key=no_transitive.layout.spine_of
-)
+# a path's spine is the column of its vertices, here of its first one
+order_full = sorted(range(k), key=lambda i: full.layout.x[cover.paths[i][0]])
+order_bare = sorted(range(k), key=lambda i: no_transitive.layout.x[cover.paths[i][0]])
+same_order = order_full == order_bare
 print(f"\nhiding transitive edges: rows unchanged? {same_rows}; "
       f"spine order unchanged? {same_order}")

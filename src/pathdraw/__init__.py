@@ -21,9 +21,9 @@ from .decomposition import (
 from .drawing import draw
 from .generator import generate_random_dag
 from .graph import DiGraph, GraphError, parse_graph, remove_cycles, topo_sort
+from .layout import InvariantError
 from .metrics import count_bends, measure
 from .pipeline import (
-    InvariantError,
     PipelineResult,
     StageError,
     bench,

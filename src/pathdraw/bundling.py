@@ -27,7 +27,10 @@ class BundleInterval:
     members: tuple[tuple[int, int], ...]
     start_row: int
     finish_row: int
-    # row span of each member's trunk leg, parallel to members
+    # row span of each member's trunk leg, parallel to members. The
+    # benchmark's bundling.lanes counter (perfbench/spans.py, _lanes) tells
+    # transitive packings from gap packings by this attribute, so
+    # GapOccupant must not gain it.
     member_spans: tuple[tuple[int, int], ...] = ()
 
 
@@ -237,12 +240,8 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
                 for j in range(i + 1, count)
             )
 
-        best = tuple(range(count))
-        best_cost = cost_of(best)
-        for perm in permutations(range(count)):
-            c = cost_of(perm)
-            if c < best_cost:
-                best, best_cost = perm, c
+        # min keeps the first order of least cost, and the identity comes first
+        best = min(permutations(range(count)), key=cost_of)
         return LanePacking(tuple(lanes[i] for i in best))
     spans, ends = _sorted_spans(lanes)
     known: dict[tuple[int, int], int] = {}

@@ -5,7 +5,8 @@ and every edge runs from a lower to a higher row. ``draw`` places the rows:
 without compaction each vertex sits at the row of its topological rank
 (height n-1); with it each vertex's row is 1 + the largest row of its
 predecessors and sources are on row 0, which brings the height down to the
-longest-path length exactly.
+longest-path length exactly. ``assert_properties`` checks a compacted layout
+and raises ``InvariantError``, naming the vertices, when a property fails.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ class Layout:
     y: dict[int, int]
     routes: dict[tuple[int, int], tuple[Point, ...]]
     category: dict[tuple[int, int], str]
+    # no renderer or metric reads this; it stays while the benchmark's
+    # drawing.columns counter (perfbench/spans.py, _columns) counts its entries
     column_meta: dict[int, str]
     paths: tuple[tuple[int, ...], ...]
-
-    def spine_of(self, path_index: int) -> int:
-        """Column currently holding the given path's vertices."""
-        return self.x[self.paths[path_index][0]]
 
 
 @dataclass(frozen=True)
@@ -47,21 +46,12 @@ class MetricsReport:
     area: int
 
 
-@dataclass(frozen=True)
-class PropertyViolation:
-    kind: str
-    detail: tuple[int, int]
-
-    def __str__(self) -> str:
-        if self.kind == "distinct-rows":
-            u, v = self.detail
-            return f"vertices {u} and {v} of one path share a row"
-        v, _ = self.detail
-        return f"vertex {v} has no predecessor one row above"
+class InvariantError(Exception):
+    """A drawing self-check failed; indicates an internal bug."""
 
 
-def assert_properties(g: DiGraph, layout: Layout) -> PropertyViolation | None:
-    """Self-check for a compacted layout; None means both properties hold.
+def assert_properties(g: DiGraph, layout: Layout) -> None:
+    """Self-check for a compacted layout; raises ``InvariantError`` naming the vertices.
 
     Property 1: vertices of one path occupy distinct rows. Property 2:
     every vertex off row 0 has an incoming edge from exactly one row above.
@@ -71,11 +61,15 @@ def assert_properties(g: DiGraph, layout: Layout) -> PropertyViolation | None:
         for v in path:
             row = layout.y[v]
             if row in seen:
-                return PropertyViolation("distinct-rows", (seen[row], v))
+                raise InvariantError(
+                    f"internal invariant violated: vertices {seen[row]} and {v} "
+                    "of one path share a row"
+                )
             seen[row] = v
     for v in range(g.vertex_count):
         if layout.y[v] == 0:
             continue
         if not any(layout.y[u] == layout.y[v] - 1 for u in g.predecessors(v)):
-            return PropertyViolation("predecessor-row", (v, layout.y[v]))
-    return None
+            raise InvariantError(
+                f"internal invariant violated: vertex {v} has no predecessor one row above"
+            )

@@ -4,16 +4,18 @@
 cycle removal, topological sort, decomposition (parsed from the given path
 list, else a minimum path cover), drawing (row placement and compaction,
 transitive bundling with lane packing and reorder, cross-edge gap routing,
-grid assembly), the property self-check. ``read_graph`` reads and parses an
-edge-list file first. ``topo_sort`` keeps its ranks on the DAG, so the path
-cover and the drawing reuse them. Metrics are computed only when
-``PipelineResult.metrics`` is first read. Any stage failure, a failed
-self-check included, is re-raised with the stage name. The wall-clock window
-that the benchmark reports covers cycle removal, the topological sort, and
-the drawing stages; reading and parsing, the path-cover computation (part of
-the input in this framework), metrics, and file emission stay outside the
-clock. ``bench`` runs the pipeline over a generated suite and keeps one
-timed row per graph; medians over seeds damp scheduler noise.
+grid assembly), the self-check ``layout.assert_properties``, which raises
+``InvariantError`` when a compacted layout breaks a property. ``read_graph``
+reads and parses an edge-list file first. ``topo_sort`` keeps its ranks on
+the DAG, so the path cover and the drawing reuse them. Metrics are computed
+only when ``PipelineResult.metrics`` is first read. Any stage failure, a
+failed self-check included, is re-raised with the stage name. The
+wall-clock window that the benchmark reports covers cycle removal, the
+topological sort, and the drawing stages; reading and parsing, the
+path-cover computation (part of the input in this framework), metrics, and
+file emission stay outside the clock. ``bench`` runs the pipeline over a
+generated suite and keeps one timed row per graph; medians over seeds damp
+scheduler noise.
 """
 
 from __future__ import annotations
@@ -28,12 +30,8 @@ from .decomposition import min_path_cover, parse_decomposition
 from .drawing import Drawing, draw
 from .generator import generate_random_dag
 from .graph import DiGraph, parse_graph, remove_cycles, topo_sort
-from .layout import Layout, MetricsReport, assert_properties
+from .layout import MetricsReport, assert_properties
 from .metrics import measure
-
-
-class InvariantError(Exception):
-    """A drawing self-check failed; indicates an internal bug."""
 
 
 class StageError(Exception):
@@ -62,11 +60,6 @@ def run_stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:
         raise StageError(name, exc) from exc
-
-
-def _self_check(g: DiGraph, layout: Layout) -> None:
-    if (violation := assert_properties(g, layout)) is not None:
-        raise InvariantError(f"internal invariant violated: {violation}")
 
 
 def read_graph(path: str) -> DiGraph:
@@ -113,7 +106,7 @@ def run_pipeline_full(
     timed += time.perf_counter() - t1
 
     if compact:
-        run_stage("self-check", _self_check, dag, drawing.layout)
+        run_stage("self-check", assert_properties, dag, drawing.layout)
 
     return PipelineResult(drawing=drawing, graph=dag, draw_ms=timed * 1000.0)
 

@@ -8,6 +8,7 @@ import pytest
 from oracles import longest_path_ending_at
 from pathdraw import (
     DiGraph,
+    InvariantError,
     PathDecomposition,
     draw,
     generate_random_dag,
@@ -98,17 +99,16 @@ class TestProperties:
     def test_shared_row_on_path_is_flagged(self, chain3):
         lay = _uncompacted(chain3, PathDecomposition(((0, 1, 2),)))
         broken = replace(lay, y={0: 0, 1: 0, 2: 1})
-        violation = assert_properties(chain3, broken)
-        assert violation is not None
-        assert violation.kind == "distinct-rows"
-        assert violation.detail == (0, 1)
+        message = "internal invariant violated: vertices 0 and 1 of one path share a row"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            assert_properties(chain3, broken)
 
     def test_missing_predecessor_row_is_flagged(self, chain3):
         lay = _uncompacted(chain3, PathDecomposition(((0, 1, 2),)))
         broken = replace(lay, y={0: 0, 1: 2, 2: 3})
-        violation = assert_properties(chain3, broken)
-        assert violation is not None
-        assert violation.kind == "predecessor-row"
+        message = "internal invariant violated: vertex 1 has no predecessor one row above"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            assert_properties(chain3, broken)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_compacted_layouts_hold(self, seed):

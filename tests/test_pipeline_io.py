@@ -17,6 +17,7 @@ from oracles import chains_dag, ladder_dag
 from pathdraw import (
     DiGraph,
     GraphError,
+    InvariantError,
     PathDecomposition,
     StageError,
     bench,
@@ -34,7 +35,6 @@ from pathdraw import (
 )
 from pathdraw.cli import main
 from pathdraw.graph import serialize_graph
-from pathdraw.layout import PropertyViolation
 from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -183,8 +183,9 @@ class TestToggles:
         full, bare = pair
         assert full.layout.y == bare.layout.y
         k = len(full.layout.paths)
-        order_full = sorted(range(k), key=full.layout.spine_of)
-        order_bare = sorted(range(k), key=bare.layout.spine_of)
+        spines = [path[0] for path in full.layout.paths]
+        order_full = sorted(range(k), key=lambda i: full.layout.x[spines[i]])
+        order_bare = sorted(range(k), key=lambda i: bare.layout.x[spines[i]])
         assert order_full == order_bare
 
 
@@ -373,15 +374,36 @@ class TestCli:
         assert main(["layout", str(edges), "--metrics"]) == 2
         assert capsys.readouterr().err == "error: stage 'write': [Errno 32] Broken pipe\n"
 
-    def test_failed_self_check_exits_3_with_stage_name(self, tmp_path, capsys, monkeypatch):
-        violation = PropertyViolation("predecessor-row", (2, 2))
-        monkeypatch.setattr(pathdraw.pipeline, "assert_properties", lambda g, layout: violation)
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({0: 0, 1: 0, 2: 1}, "vertices 0 and 1 of one path share a row"),
+            ({0: 0, 1: 2, 2: 3}, "vertex 1 has no predecessor one row above"),
+        ],
+        ids=["distinct-rows", "predecessor-row"],
+    )
+    def test_broken_layout_fails_self_check_with_exit_3(
+        self, tmp_path, capsys, monkeypatch, rows, message
+    ):
+        # the real check runs on a drawing whose rows are moved after draw()
+        real_draw = pathdraw.pipeline.draw
+
+        def broken_draw(*args, **kwargs):
+            drawing = real_draw(*args, **kwargs)
+            return dataclasses.replace(
+                drawing, layout=dataclasses.replace(drawing.layout, y=rows)
+            )
+
+        monkeypatch.setattr(pathdraw.pipeline, "draw", broken_draw)
         edges = tmp_path / "g.edges"
         edges.write_text("3\n0 1\n1 2\n")
+        with pytest.raises(StageError) as exc:
+            run_pipeline_full(parse_graph(edges.read_text()))
+        assert exc.value.stage == "self-check"
+        assert isinstance(exc.value.cause, InvariantError)
         assert main(["layout", str(edges), "--svg", str(tmp_path / "g.svg")]) == 3
         assert capsys.readouterr().err == (
-            "error: stage 'self-check': internal invariant violated: "
-            "vertex 2 has no predecessor one row above\n"
+            f"error: stage 'self-check': internal invariant violated: {message}\n"
         )
         assert not (tmp_path / "g.svg").exists()
 
