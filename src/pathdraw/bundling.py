@@ -12,16 +12,16 @@ connectors.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import defaultdict
 from heapq import heapify, heappush, heappop
 from itertools import permutations
 from operator import attrgetter
+from typing import NamedTuple
 
 from .decomposition import EdgeClassification, PathDecomposition
 
 
-@dataclass(frozen=True)
-class BundleInterval:
+class BundleInterval(NamedTuple):
     path_index: int
     anchor: int
     members: tuple[tuple[int, int], ...]
@@ -34,8 +34,7 @@ class BundleInterval:
     member_spans: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class LanePacking:
+class LanePacking(NamedTuple):
     lanes: tuple[tuple, ...]
 
     @property
@@ -56,11 +55,13 @@ def transitive_bundles(
     degrees. ``rows`` is the compacted vertical placement, one row per
     vertex. Intervals come out path by path, in path order. The
     transitive edges are bucketed by path in one pass and a lazy-deletion
-    max-heap picks the anchors. An extraction empties the anchor's set and
-    takes each member out of one set of its other endpoint, and only that
-    set's new degree is pushed, so every non-empty set keeps an entry with
-    its current key and the heap sees one push per transitive edge: O(n +
-    t log t) for t transitive edges.
+    max-heap picks the anchors. Only the endpoints of a path's transitive
+    edges get in- and out-edge sets, and the heap starts with one entry per
+    set. An extraction empties the anchor's set and takes each member out
+    of one set of its other endpoint, and only that set's new degree is
+    pushed, so every non-empty set keeps an entry with its current key and
+    the heap sees one push per transitive edge: O(k + t log t) for k paths
+    and t transitive edges, once the decomposition has its path index.
     """
     out: list[BundleInterval] = []
     path_of = d.path_of(len(rows))
@@ -68,22 +69,19 @@ def transitive_bundles(
     buckets: list[list[tuple[int, int]]] = [[] for _ in d.paths]
     for e in classification.transitive_edges:
         buckets[path_of[e[0]]].append(e)
-    for pi, path in enumerate(d.paths):
-        remaining = buckets[pi]
+    for pi, remaining in enumerate(buckets):
         if not remaining:
             continue
-        indeg: dict[int, set[tuple[int, int]]] = {v: set() for v in path}
-        outdeg: dict[int, set[tuple[int, int]]] = {v: set() for v in path}
-        for u, v in remaining:
-            outdeg[u].add((u, v))
-            indeg[v].add((u, v))
-        # heap key: (-degree, vertex, 0 incoming / 1 outgoing)
-        heap = []
-        for v in path:
-            if indeg[v]:
-                heap.append((-len(indeg[v]), v, 0))
-            if outdeg[v]:
-                heap.append((-len(outdeg[v]), v, 1))
+        # sets only for endpoints of transitive edges, none empty at first
+        indeg: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+        outdeg: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+        for e in remaining:
+            outdeg[e[0]].add(e)
+            indeg[e[1]].add(e)
+        # heap key: (-degree, vertex, 0 incoming / 1 outgoing); keys of live
+        # entries are unique, so the pop order does not depend on the seeding
+        heap = [(-len(edges), v, 0) for v, edges in indeg.items()]
+        heap += [(-len(edges), v, 1) for v, edges in outdeg.items()]
         heapify(heap)
         while heap:
             neg, v, which = heappop(heap)
@@ -109,16 +107,7 @@ def transitive_bundles(
                 left.discard(e)
                 if left:
                     heappush(heap, (-len(left), u, flip))
-            out.append(
-                BundleInterval(
-                    path_index=pi,
-                    anchor=v,
-                    members=members,
-                    start_row=start,
-                    finish_row=finish,
-                    member_spans=tuple(spans),
-                )
-            )
+            out.append(BundleInterval(pi, v, members, start, finish, tuple(spans)))
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .bundling import BundleInterval, LanePacking, pack_intervals, reorder_lanes, transitive_bundles
 from .decomposition import PathDecomposition, classify_edges
@@ -34,8 +35,7 @@ from .layout import (
 from .routing import GapOccupant, gap_occupants
 
 
-@dataclass(frozen=True)
-class BundleRecord:
+class BundleRecord(NamedTuple):
     id: int
     kind: str  # "transitive" | "cross"
     anchor_or_target: int

@@ -18,7 +18,6 @@ library's.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from . import __version__
 from .drawing import BundleRecord
@@ -54,8 +53,15 @@ def render_svg(layout: Layout) -> str:
     routes = layout.routes
     category = layout.category
     xs, ys = layout.x, layout.y
-    max_x = max(chain(xs.values(), (p[0] for r in routes.values() for p in r)), default=0)
-    max_y = max(chain(ys.values(), (p[1] for r in routes.values() for p in r)), default=0)
+    # the extent in one pass over the route points, from the vertex maxima
+    max_x = max(xs.values(), default=0)
+    max_y = max(ys.values(), default=0)
+    for route in routes.values():
+        for gx, gy in route:
+            if gx > max_x:
+                max_x = gx
+            if gy > max_y:
+                max_y = gy
     width, height = _px(max_x + 1), _px(max_y + 1)
     # each grid coordinate's pixel string is formatted once, for both axes
     px = _PixelText()

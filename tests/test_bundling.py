@@ -31,6 +31,7 @@ from pathdraw.bundling import (
     reorder_lanes,
     transitive_bundles,
 )
+from pathdraw.drawing import BundleRecord
 
 
 def _bundles(g, d):
@@ -421,3 +422,38 @@ class TestLazyClimbAgainstOracle:
         assert stack_crossings_bruteforce(reordered.lanes) == 0
         _assert_reorder_matches_oracle(packing)
 
+
+_LANE = (_iv(0, 2, anchor=0), _iv(3, 4, anchor=1))
+# each record type, its fields in order, values for the fields without a
+# default, and the attributes those values imply
+_RECORDS = [
+    (
+        BundleInterval,
+        ("path_index", "anchor", "members", "start_row", "finish_row", "member_spans"),
+        (1, 4, ((2, 4), (3, 4)), 0, 5),
+        {"member_spans": ()},
+    ),
+    (LanePacking, ("lanes",), ((_LANE, _LANE[:1]),), {"lane_count": 2}),
+    (
+        BundleRecord,
+        ("id", "kind", "anchor_or_target", "lane", "span", "members"),
+        (0, "cross", 4, 7, (1, 5), ((1, 4), (2, 4))),
+        {},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, values, derived", _RECORDS, ids=[r[0].__name__ for r in _RECORDS]
+)
+def test_records_are_immutable_named_tuples(cls, fields, values, derived):
+    given = dict(zip(fields, values))
+    record = cls(**given)
+    assert cls._fields == fields
+    assert {name: getattr(record, name) for name in given} == given
+    assert {name: getattr(record, name) for name in derived} == derived
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert hash(record) == hash(cls(**given))
+    assert {record, cls(**given)} == {record}

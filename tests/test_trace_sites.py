@@ -13,10 +13,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
+
+from oracles import chains_dag
 
 import pathdraw
 import pathdraw.cli
+from pathdraw.bundling import pack_intervals, transitive_bundles
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
@@ -86,3 +91,18 @@ def test_library_job_reaches_every_package_and_drawing_site():
                 d = pd.min_path_cover(dag)
             pd.render_svg(pd.draw(dag, d, order).layout)
     _assert_all_traced(expected, tracer)
+
+
+def test_bundling_counters_match_the_transitive_stacks():
+    # pack_intervals packs the cross-edge gaps too; the lane counter must
+    # count only the transitive stacks, whatever the record types are
+    g, d = chains_dag(4, 60, seed=3)
+    tracer = spans.Tracer()
+    with tracer.installed(_sites("pathdraw.drawing")):
+        rows = pathdraw.draw(g, d).layout.y
+    intervals = transitive_bundles(d, pathdraw.classify_edges(g, d), rows)
+    stacks = [pack_intervals(stack) for _, stack in groupby(intervals, attrgetter("path_index"))]
+    packs = sum(s.name == "bundling.pack_intervals" for s in tracer.spans)
+    assert packs > len(stacks) > 0
+    assert tracer.counts["bundling.bundles"] == len(intervals)
+    assert tracer.counts["bundling.lanes"] == sum(p.lane_count for p in stacks)
