@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from heapq import heapify, heappush, heappop
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -221,16 +221,11 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
         return packing
     if count <= _EXHAUSTIVE_LIMIT:
         pair_cost = lane_pair_costs(lanes)
-
-        def cost_of(order: tuple[int, ...]) -> int:
-            return sum(
-                pair_cost[order[i]][order[j]]
-                for i in range(count)
-                for j in range(i + 1, count)
-            )
-
         # min keeps the first order of least cost, and the identity comes first
-        best = min(permutations(range(count)), key=cost_of)
+        best = min(
+            permutations(range(count)),
+            key=lambda order: sum(pair_cost[a][b] for a, b in combinations(order, 2)),
+        )
         return LanePacking(tuple(lanes[i] for i in best))
     spans, ends = _sorted_spans(lanes)
     known: dict[tuple[int, int], int] = {}

@@ -102,13 +102,11 @@ def draw(
             packing = pack_intervals(stack)
             trans_packings[pi] = reorder_lanes(packing) if reorder else packing
 
-    # one sort serves the occupant grouping and the route loop below
-    edges = sorted(g.edges)
     cross_set = cls.cross_edges
     cross_packings = {
         gap: pack_intervals(occupants)
         for gap, occupants in gap_occupants(
-            y, path_of, [e for e in edges if e in cross_set], bundle_cross_incoming
+            y, path_of, [e for e in g.edges if e in cross_set], bundle_cross_incoming
         ).items()
     }
 
@@ -169,7 +167,7 @@ def draw(
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
     category: dict[tuple[int, int], str] = {}
     path_set = cls.path_edges
-    for e in edges:
+    for e in g.edges:
         u, v = e
         kind = PATH if e in path_set else CROSS if e in cross_set else TRANSITIVE
         category[e] = kind

@@ -33,15 +33,13 @@ def generate_random_dag(n: int, avg_degree: float, seed: int) -> DiGraph:
         chosen = rng.sample(pairs, m)
     else:
         # sparse case: rejection sampling terminates fast
-        picked: set[tuple[int, int]] = set()
-        while len(picked) < m:
+        chosen = set()
+        while len(chosen) < m:
             i = rng.randrange(n)
             j = rng.randrange(n)
             if i == j:
                 continue
             if i > j:
                 i, j = j, i
-            picked.add((i, j))
-        chosen = sorted(picked)
-    edges = sorted((perm[i], perm[j]) for i, j in chosen)
-    return DiGraph.build(n, edges)
+            chosen.add((i, j))
+    return DiGraph.build(n, ((perm[i], perm[j]) for i, j in chosen))

@@ -3,6 +3,12 @@
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
 and safe to share. Every operation here is a pure function, except that
 ``topo_sort`` keeps its result on the graph, so a run sorts each graph once.
+
+A graph's edges are kept sorted by (u, v) and unique from the moment it is
+built, so graphs with the same edge set compare equal and no caller sorts
+them again. ``DiGraph.build`` checks every pair for range and self-loops in
+input order and reports the first such fault; only then does it report a
+repeat, naming the smallest repeated pair.
 """
 
 from __future__ import annotations
@@ -24,22 +30,23 @@ class DiGraph:
 
     @classmethod
     def build(cls, vertex_count: int, edges) -> "DiGraph":
-        """Construct a graph, rejecting self-loops, duplicate edge pairs and
-        out-of-range ids."""
+        """Construct a graph from any iterable of (u, v) pairs, rejecting
+        out-of-range ids and self-loops first, then duplicate edge pairs."""
         if vertex_count < 0:
             raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
-        seen: set[tuple[int, int]] = set()
-        clean: list[tuple[int, int]] = []
+        pairs: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            clean.append((u, v))
-        return cls(vertex_count, tuple(clean), *_adjacency(vertex_count, clean))
+            pairs.append((u, v))
+        unique, succ, pred = _adjacency(vertex_count, pairs)
+        if len(unique) < len(pairs):
+            ordered = sorted(pairs)
+            u, v = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        return cls(vertex_count, unique, succ, pred)
 
     @property
     def edge_count(self) -> int:
@@ -55,20 +62,20 @@ class DiGraph:
         return v in self._succ[u]
 
 
-def _adjacency(
-    vertex_count: int, edges
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Sorted successor and predecessor tuples of a duplicate-free edge list.
+def _adjacency(vertex_count: int, edges) -> tuple[tuple, tuple, tuple]:
+    """The edges sorted by (u, v) without repeats, and the successor and
+    predecessor tuples they give.
 
-    One sort of the edges by (u, v) fills every successor list in ascending
-    order, and every predecessor list too, since sources arrive ascending.
+    One sort fills every successor list in ascending order, and every
+    predecessor list too, since sources arrive ascending.
     """
+    unique = tuple(dict.fromkeys(sorted(edges)))
     succ: list[list[int]] = [[] for _ in range(vertex_count)]
     pred: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in sorted(edges):
+    for u, v in unique:
         succ[u].append(v)
         pred[v].append(u)
-    return tuple(map(tuple, succ)), tuple(map(tuple, pred))
+    return unique, tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ def parse_graph(text: str) -> DiGraph:
 def serialize_graph(g: DiGraph) -> str:
     """Emit the canonical edge-list form: count, then edges sorted by (u, v)."""
     lines = [str(g.vertex_count)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -153,17 +160,10 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
                 stack.pop()
     if not back:
         return CycleRemovalResult(g, frozenset())
-    # a flipped edge that meets its reverse from a 2-cycle merges with it;
-    # g was validated, so only this dedupe is left of DiGraph.build's checks
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for e in g.edges:
-        if e in back:
-            e = (e[1], e[0])
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
-    dag = DiGraph(n, tuple(edges), *_adjacency(n, edges))
+    # a flipped edge that meets its reverse from a 2-cycle merges with it
+    # in the dedupe; g was validated, so no other check of build is needed
+    flipped = [(e[1], e[0]) if e in back else e for e in g.edges]
+    dag = DiGraph(n, *_adjacency(n, flipped))
     return CycleRemovalResult(dag, frozenset(back))
 
 

@@ -17,6 +17,7 @@ from oracles import (
     bends_for_distance,
     chains_dag,
     cross_routes_of,
+    cyclic_digraph_edges,
     crossing_pairs_bruteforce,
     longest_ending_at_bruteforce,
     longest_path_ending_at,
@@ -25,7 +26,14 @@ from oracles import (
     min_cover_bruteforce,
     segment_count,
 )
-from pathdraw import draw, generate_random_dag, min_path_cover, remove_cycles, topo_sort
+from pathdraw import (
+    DiGraph,
+    draw,
+    generate_random_dag,
+    min_path_cover,
+    remove_cycles,
+    topo_sort,
+)
 from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
 from pathdraw.metrics import count_crossings
@@ -240,6 +248,29 @@ def test_criterion_12_many_lane_scaling_trend():
         12,
         f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
         f"on one path of 500..4000 with n/2 lanes ({elapsed:.1f}s)",
+    )
+
+
+def test_criterion_13_cyclic_scaling_trend():
+    # The cyclic family: m = 2n edges with 2-cycles, so cycle removal flips
+    # back edges and rebuilds the graph inside the timed window. The same
+    # window as criterion 06 must grow by at most 3.0 per doubling of n; a
+    # rebuild quadratic in the flipped edges grows by 4.
+    def make(n, seed):
+        g = DiGraph.build(n, cyclic_digraph_edges(n, 2 * n, seed))
+        return g, min_path_cover(remove_cycles(g).dag)
+
+    sizes = (1000, 2000, 4000, 8000)
+    medians, elapsed = _growth(make, sizes, range(1, 4), 3)
+    ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
+    per_doubling = (medians[-1] / medians[0]) ** (1 / (len(sizes) - 1))
+    assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
+    assert elapsed < 30.0
+    pretty = ", ".join(f"{r:.2f}" for r in ratios)
+    _report(
+        13,
+        f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
+        f"on cyclic digraphs of n=1000..8000, m=2n ({elapsed:.1f}s)",
     )
 
 

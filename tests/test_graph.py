@@ -71,6 +71,45 @@ class TestParse:
         assert serialize_graph(again) == serialize_graph(g)
 
 
+class TestCanonicalEdges:
+    def test_two_orders_of_one_edge_set_build_equal_graphs(self):
+        edges = [(2, 0), (0, 3), (1, 3), (0, 1)]
+        assert DiGraph.build(4, edges) == DiGraph.build(4, edges[::-1])
+
+    def test_any_iterable_of_pairs_is_stored_as_sorted_tuples(self):
+        g = DiGraph.build(4, iter([(2, 0), (0, 3), (0, 1)]))
+        h = DiGraph.build(4, [[2, 0], [0, 3], [0, 1]])
+        for graph in (g, h):
+            assert graph.edges == ((0, 1), (0, 3), (2, 0))
+            assert all(type(e) is tuple for e in graph.edges)
+            assert graph._succ == ((1, 3), (), (0,), ())
+            assert graph._pred == ((2,), (0,), (), (0,))
+
+    def test_repeat_names_the_smallest_repeated_pair(self):
+        with pytest.raises(GraphError, match=r"^duplicate edge \(1, 2\)$"):
+            DiGraph.build(3, [(1, 2), (2, 0), (0, 2), (1, 2)])
+        with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
+            DiGraph.build(3, [(2, 1), (2, 1), (0, 1), (0, 1)])
+
+    def test_range_and_self_loop_faults_win_over_an_earlier_repeat(self):
+        with pytest.raises(GraphError, match=r"^edge \(0, 5\) out of range for 3 vertices$"):
+            DiGraph.build(3, [(0, 1), (0, 1), (0, 5)])
+        with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
+            DiGraph.build(3, [(0, 1), (0, 1), (2, 2)])
+        with pytest.raises(GraphError, match=r"^bad edge list: edge \(0, 5\) out of range"):
+            parse_graph("3\n0 1\n0 1\n0 5\n")
+
+    def test_remove_cycles_returns_sorted_edges_with_a_two_cycle_merged(self):
+        g = DiGraph.build(4, [(3, 0), (0, 1), (1, 0), (1, 2), (2, 3)])
+        result = remove_cycles(g)
+        # (1, 0) flips onto (0, 1); (3, 0) flips to (0, 3) and sorts second
+        assert result.reversed_edges == {(1, 0), (3, 0)}
+        assert result.dag.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert result.dag == DiGraph.build(4, result.dag.edges[::-1])
+        assert result.dag._succ == ((1, 3), (2,), (3,), ())
+        assert result.dag._pred == ((), (0,), (1,), (0, 2))
+
+
 def test_graph_cannot_be_built_without_adjacency():
     with pytest.raises(TypeError):
         DiGraph(3, ((0, 1), (1, 2)))

@@ -77,7 +77,8 @@ class TestRemoveCycles:
         result = remove_cycles(g)
         edges, succ, pred, back = remove_cycles_reference(g)
         assert result.reversed_edges == back
-        assert result.dag.edges == edges
+        # the reference keeps input order; a DiGraph keeps its edges sorted
+        assert result.dag.edges == tuple(sorted(edges))
         assert result.dag._succ == succ
         assert result.dag._pred == pred
 
@@ -87,7 +88,7 @@ class TestRemoveCycles:
             g = DiGraph.build(3, edges)
             result = remove_cycles(g)
             dag_edges, _, _, back = remove_cycles_reference(g)
-            assert (result.dag.edges, result.reversed_edges) == (dag_edges, back)
+            assert (result.dag.edges, result.reversed_edges) == (tuple(sorted(dag_edges)), back)
             assert result.dag.edge_count == 2
 
     def test_sprawl_sized_graph_merges_the_same_edges(self):
@@ -95,7 +96,9 @@ class TestRemoveCycles:
         result = remove_cycles(g)
         edges, succ, pred, back = remove_cycles_reference(g)
         assert g.edge_count - result.dag.edge_count == g.edge_count - len(edges) > 0
-        assert (result.dag.edges, result.dag._succ, result.dag._pred) == (edges, succ, pred)
+        assert (result.dag.edges, result.dag._succ, result.dag._pred) == (
+            tuple(sorted(edges)), succ, pred
+        )
         assert result.reversed_edges == back
 
     def test_acyclic_graph_comes_back_unchanged(self, diamond):
