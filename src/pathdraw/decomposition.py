@@ -186,40 +186,34 @@ def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> list[int]:
                     queue.append(w)
         return found
 
-    nxt = [0] * n  # for each vertex on the stack, the adj index being tried
-
     def augment(root: int) -> bool:
-        # layered depth-first search on an explicit stack, so a long
-        # augmenting path cannot exhaust the interpreter's recursion limit
-        stack = [root]
-        nxt[root] = 0
-        u = root
+        # layered depth-first search on an explicit stack of (vertex,
+        # successor iterator) frames, so a long augmenting path cannot
+        # exhaust the interpreter's recursion limit; tried[k] is the right
+        # vertex through which frame k went on to frame k + 1
+        stack = [(root, iter(adj[root]))]
+        tried: list[int] = []
         while True:
+            u, out = stack[-1]
             layer = dist[u] + 1
-            i = nxt[u]
-            for v in adj[u][i:] if i else adj[u]:
+            for v in out:
                 w = match_right[v]
                 if w == -1:
-                    nxt[u] = i
-                    for x in stack:  # each vertex on the path takes its tried edge
-                        v = adj[x][nxt[x]]
-                        match_left[x] = v
-                        match_right[v] = x
+                    tried.append(v)
+                    for (x, _), y in zip(stack, tried):  # flip the path
+                        match_left[x] = y
+                        match_right[y] = x
                     return True
                 if dist[w] == layer:
-                    nxt[u] = i
-                    nxt[w] = 0
-                    stack.append(w)
-                    u = w
+                    tried.append(v)
+                    stack.append((w, iter(adj[w])))
                     break
-                i += 1
             else:
                 dist[u] = INF
                 stack.pop()
                 if not stack:
                     return False
-                u = stack[-1]
-                nxt[u] += 1
+                tried.pop()  # u is a dead end; its frame's parent tries on
 
     while bfs():
         for u in range(n):
@@ -239,15 +233,14 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     # successor tuples are sorted, so edges are tried in ascending id order
     adj = [g.successors(u) for u in range(g.vertex_count)]
     match_left = _hopcroft_karp(g.vertex_count, adj)
-    next_of = {u: v for u, v in enumerate(match_left) if v != -1}
-    has_prev = set(next_of.values())
+    matched = set(match_left)  # every vertex with a predecessor on its path
     paths: list[tuple[int, ...]] = []
     for start in range(g.vertex_count):
-        if start in has_prev:
+        if start in matched:
             continue
         path = [start]
-        while path[-1] in next_of:
-            path.append(next_of[path[-1]])
+        while match_left[path[-1]] != -1:
+            path.append(match_left[path[-1]])
         paths.append(tuple(path))
     paths.sort(key=lambda p: rank[p[0]])
     return PathDecomposition(tuple(paths))
@@ -259,7 +252,8 @@ def parse_decomposition(
     """Parse a path-list document and validate it against g.
 
     One path per line, vertex ids (ASCII decimal) separated by single
-    spaces; ``#`` starts a comment. Path order in the file is the column
+    spaces. A line whose first non-blank character is ``#`` is a comment;
+    a ``#`` after a path is an error. Path order in the file is the column
     order of the drawing. ``reversed_edges`` are the input edges that cycle
     removal flipped to make g; a path that runs along one is rejected with
     a message that says so.

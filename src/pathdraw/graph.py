@@ -88,8 +88,9 @@ def parse_graph(text: str) -> DiGraph:
     """Parse an edge-list document.
 
     Format: the first non-comment line is the vertex count; each following
-    line is ``u v`` (ASCII decimal, single space). Lines starting with ``#``
-    are comments; blank lines are ignored.
+    line is ``u v`` (ASCII decimal, single space). A line whose first
+    non-blank character is ``#`` is a comment, and blank lines are ignored;
+    a ``#`` after an edge is an error.
     """
     vertex_count: int | None = None
     edges: list[tuple[int, int]] = []
@@ -126,32 +127,27 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
     """Break cycles by reversing depth-first back edges.
 
     Roots are taken in ascending id order and neighbors visited in ascending
-    id order, so the reversed set is deterministic. Iterative DFS: recursion
-    depth would be a vertex-count liability.
+    id order, so the reversed set is deterministic. The search keeps an
+    explicit stack of (vertex, successor iterator) frames, each resumed
+    where it stopped, since recursion depth would be a vertex-count
+    liability.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     n = g.vertex_count
     succ = g._succ
     state = [WHITE] * n
-    # next successor index per vertex, so the stack holds bare vertices
-    next_index = [0] * n
     back: set[tuple[int, int]] = set()
     for root in range(n):
         if state[root] != WHITE:
             continue
-        stack = [root]
         state[root] = GRAY
+        stack = [(root, iter(succ[root]))]
         while stack:
-            v = stack[-1]
-            out = succ[v]
-            i = next_index[v]
-            while i < len(out):
-                w = out[i]
-                i += 1
+            v, out = stack[-1]
+            for w in out:
                 if state[w] == WHITE:
-                    next_index[v] = i
                     state[w] = GRAY
-                    stack.append(w)
+                    stack.append((w, iter(succ[w])))
                     break
                 if state[w] == GRAY:
                     back.add((v, w))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import gcd
@@ -443,6 +444,83 @@ def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]
             seen.add(e)
             edges.append(e)
     return (tuple(edges), *adjacency_reference(n, edges), frozenset(back))
+
+
+def hopcroft_karp_reference(n: int, adj: list[tuple[int, ...]]) -> list[int]:
+    """Maximum matching on the split bipartite graph; returns match_left.
+
+    The form with an index per stacked vertex and slices of the adjacency
+    tuples that the successor-iterator search in decomposition.py replaced.
+
+    Left copy u is the out-side of vertex u, right copy v the in-side;
+    one bipartite edge per graph edge. Augmenting paths are explored in
+    ascending id order so the matching is deterministic.
+    """
+    INF = n + 1
+    match_left = [-1] * n
+    match_right = [-1] * n
+    dist = [INF] * n
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    nxt = [0] * n  # for each vertex on the stack, the adj index being tried
+
+    def augment(root: int) -> bool:
+        # layered depth-first search on an explicit stack, so a long
+        # augmenting path cannot exhaust the interpreter's recursion limit
+        stack = [root]
+        nxt[root] = 0
+        u = root
+        while True:
+            layer = dist[u] + 1
+            i = nxt[u]
+            for v in adj[u][i:] if i else adj[u]:
+                w = match_right[v]
+                if w == -1:
+                    nxt[u] = i
+                    for x in stack:  # each vertex on the path takes its tried edge
+                        v = adj[x][nxt[x]]
+                        match_left[x] = v
+                        match_right[v] = x
+                    return True
+                if dist[w] == layer:
+                    nxt[u] = i
+                    nxt[w] = 0
+                    stack.append(w)
+                    u = w
+                    break
+                i += 1
+            else:
+                dist[u] = INF
+                stack.pop()
+                if not stack:
+                    return False
+                u = stack[-1]
+                nxt[u] += 1
+
+    while bfs():
+        for u in range(n):
+            if match_left[u] == -1 and adj[u]:  # no out-edge: nothing to match
+                augment(u)
+    return match_left
 
 
 def gap_occupants_reference(rows, path_of, cross_edges, bundle_incoming: bool) -> dict:

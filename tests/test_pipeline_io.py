@@ -473,6 +473,25 @@ class TestCli:
         assert "stage 'decomposition'" in err
         assert "line 1: expected vertex ids" in err
 
+    def test_trailing_comment_in_edge_list_exits_2(self, tmp_path, capsys):
+        # a comment is a whole line; '#' after an edge is not one
+        edges = tmp_path / "g.edges"
+        edges.write_text("2\n0 1 # a comment\n")
+        assert main(["layout", str(edges)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'parse': line 2: expected 'u v', got '0 1 # a comment'\n"
+        )
+
+    def test_trailing_comment_in_path_list_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        paths = tmp_path / "g.paths"
+        paths.write_text("0 1 2 # c\n")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'decomposition': line 1: expected vertex ids, got '0 1 2 # c'\n"
+        )
+
     def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):
         edges = tmp_path / "ladder.edges"
         edges.write_text(serialize_graph(ladder_dag(1200)))

@@ -1,7 +1,9 @@
 """The rewritten per-edge loops against their earlier forms in oracles.py.
 
 Adjacency construction, cycle removal, gap occupants and SVG rendering were
-rewritten to touch each edge a constant number of times, the JSON document
+rewritten to touch each edge a constant number of times, cycle removal and
+the matching's augmenting search keep a successor iterator per stack frame
+instead of an index per vertex, the JSON document
 is written by template rather than through ``json.dumps``, and the crossing
 and vertex-touch counters report by slices of their sorted lists rather
 than one element at a time. Each must give exactly what the plainer form
@@ -26,6 +28,8 @@ from oracles import (
     crossing_pairs_bruteforce,
     cyclic_digraph_edges,
     gap_occupants_reference,
+    hopcroft_karp_reference,
+    ladder_dag,
     many_lane_dag,
     remove_cycles_reference,
     render_json_reference,
@@ -42,7 +46,7 @@ from pathdraw import (
     render_svg,
     topo_sort,
 )
-from pathdraw.decomposition import classify_edges
+from pathdraw.decomposition import _hopcroft_karp, classify_edges
 from pathdraw.drawing import BundleRecord
 from pathdraw.layout import Layout, MetricsReport
 from pathdraw.metrics import count_crossings, count_vertex_touches
@@ -105,6 +109,42 @@ class TestRemoveCycles:
         result = remove_cycles(diamond)
         assert result.dag is diamond
         assert result.reversed_edges == frozenset()
+
+
+def _matchings(g: DiGraph) -> tuple[list[int], list[int]]:
+    """match_left of the search under test and of the index-form reference."""
+    n = g.vertex_count
+    adj = [g.successors(u) for u in range(n)]
+    return _hopcroft_karp(n, adj), hopcroft_karp_reference(n, adj)
+
+
+class TestHopcroftKarp:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_index_form_on_small_dags(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        g = DiGraph.build(n, uniform_dag_edges(n, rng.randint(0, 3 * n), seed))
+        got, expected = _matchings(g)
+        assert got == expected
+
+    def test_equals_index_form_on_a_long_augmenting_path(self):
+        got, expected = _matchings(ladder_dag(5000))
+        assert got == expected
+
+    def test_equals_index_form_after_cycle_removal(self):
+        g = DiGraph.build(3000, cyclic_digraph_edges(3000, 12000, seed=5, twin_frac=0.1))
+        got, expected = _matchings(remove_cycles(g).dag)
+        assert got == expected
+
+
+class TestDeepSearch:
+    def test_one_long_cycle_does_not_recurse(self):
+        # the depth-first search of cycle removal runs 50,000 frames deep
+        n = 50_000
+        g = DiGraph.build(n, [(v, (v + 1) % n) for v in range(n)])
+        result = remove_cycles(g)
+        assert result.reversed_edges == {(n - 1, 0)}
+        assert min_path_cover(result.dag).paths == (tuple(range(n)),)
 
 
 def _occupant_inputs(seed: int):
