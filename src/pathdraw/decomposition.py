@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .graph import DiGraph, topo_sort
+from .graph import DiGraph, number_too_long, topo_sort
 
 
 class DecompositionError(Exception):
@@ -267,7 +267,10 @@ def parse_decomposition(
         # str.isdigit also accepts non-ASCII digits such as '²'; isascii rules them out
         if not (line.isascii() and all(p.isdigit() for p in parts)):
             raise DecompositionError(f"line {lineno}: expected vertex ids, got {line!r}")
-        paths.append(tuple(int(p) for p in parts))
+        try:
+            paths.append(tuple(int(p) for p in parts))
+        except ValueError:  # longer than the interpreter converts
+            raise DecompositionError(number_too_long(lineno, max(map(len, parts)))) from None
     d = PathDecomposition(tuple(paths))
     report = validate_decomposition(g, d, reversed_edges)
     if not report.ok:

@@ -13,6 +13,7 @@ repeat, naming the smallest repeated pair.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappush, heappop
 
@@ -84,6 +85,14 @@ class CycleRemovalResult:
     reversed_edges: frozenset[tuple[int, int]]
 
 
+def number_too_long(lineno: int, digits: int) -> str:
+    """The message for a number longer than ``int`` converts, without the number."""
+    return (
+        f"line {lineno}: a number of {digits} digits is longer than the "
+        f"{sys.get_int_max_str_digits()}-digit limit"
+    )
+
+
 def parse_graph(text: str) -> DiGraph:
     """Parse an edge-list document.
 
@@ -101,13 +110,19 @@ def parse_graph(text: str) -> DiGraph:
         if vertex_count is None:
             if not (line.isdigit() and line.isascii()):
                 raise GraphError(f"line {lineno}: expected vertex count, got {line!r}")
-            vertex_count = int(line)
+            try:
+                vertex_count = int(line)
+            except ValueError:  # longer than the interpreter converts
+                raise GraphError(number_too_long(lineno, len(line))) from None
             continue
         # str.isdigit also accepts non-ASCII digits such as '²'; isascii rules them out
         u, _, v = line.partition(" ")
         if not (u.isdigit() and v.isdigit() and line.isascii()):
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
-        edges.append((int(u), int(v)))
+        try:
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise GraphError(number_too_long(lineno, max(len(u), len(v)))) from None
     if vertex_count is None:
         raise GraphError("empty document: missing vertex count")
     try:

@@ -5,19 +5,28 @@ layout always yields one byte sequence. The JSON document round-trips
 losslessly: for every document ``doc`` that ``render_json`` returns,
 ``json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n" == doc``.
 
-The document is written from one f-string template per vertex, edge, bundle
-and route point, with every key in sorted order, rather than by building a
-dict and dumping it. The standard library uses its C encoder only when
-``indent`` is None, so an indented ``json.dumps`` runs the pure-Python
-generator encoder, one yield per integer of every route point; on 300-vertex
-graphs that cost more than drawing the layout. Strings, the seed and the
-toggle values still go through ``json.dumps``, so escaping is the standard
-library's.
+Both writers format a route by its shape. ``draw`` emits routes of 2, 3 and
+4 points; the SVG writer writes each of those shapes with one f-string that
+unpacks its points, and the JSON writer does so for 2 and 4 points, the most
+common. Any other length goes through a list joined in order. The SVG
+writer formats each distinct grid coordinate's pixel text once into a dict,
+which holds one entry per distinct coordinate, not one per unit of range.
+
+The JSON document is written from one f-string template per vertex, edge,
+bundle and route shape, with every key in sorted order, rather than by
+building a dict and dumping it. The standard library uses its C encoder
+only when ``indent`` is None, so an indented ``json.dumps`` runs the
+pure-Python generator encoder, one yield per integer of every route point;
+on 300-vertex graphs that cost more than drawing the layout. Strings, the
+seed and the toggle values still go through ``json.dumps``, so escaping is
+the standard library's.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 from . import __version__
 from .drawing import BundleRecord
@@ -40,31 +49,19 @@ def _px(grid: int) -> int:
     return (grid + 1) * SVG_PITCH
 
 
-class _PixelText(dict):
-    """Grid coordinate -> pixel string, each formatted on its first lookup."""
-
-    def __missing__(self, grid: int) -> str:
-        text = self[grid] = str(_px(grid))
-        return text
-
-
 def render_svg(layout: Layout) -> str:
     """One circle per vertex, one polyline per drawn edge, styled by category."""
     routes = layout.routes
     category = layout.category
     xs, ys = layout.x, layout.y
-    # the extent in one pass over the route points, from the vertex maxima
-    max_x = max(xs.values(), default=0)
-    max_y = max(ys.values(), default=0)
-    for route in routes.values():
-        for gx, gy in route:
-            if gx > max_x:
-                max_x = gx
-            if gy > max_y:
-                max_y = gy
-    width, height = _px(max_x + 1), _px(max_y + 1)
-    # each grid coordinate's pixel string is formatted once, for both axes
-    px = _PixelText()
+    # each axis's distinct coordinates, taken in C passes over the route points
+    columns = set(xs.values())
+    columns.update(map(itemgetter(0), chain.from_iterable(routes.values())))
+    rows = set(ys.values())
+    rows.update(map(itemgetter(1), chain.from_iterable(routes.values())))
+    width, height = _px(max(columns, default=0) + 1), _px(max(rows, default=0) + 1)
+    # each distinct coordinate's pixel text, formatted once for both axes
+    px = {grid: str(_px(grid)) for grid in columns | rows}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -76,9 +73,20 @@ def render_svg(layout: Layout) -> str:
     ]
     for e in sorted(routes):
         route = routes[e]
-        if len(route) < 2:
+        size = len(route)
+        if size == 4:
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = route
+            points = f"{px[ax]},{px[ay]} {px[bx]},{px[by]} {px[cx]},{px[cy]} {px[dx]},{px[dy]}"
+        elif size == 2:
+            (ax, ay), (bx, by) = route
+            points = f"{px[ax]},{px[ay]} {px[bx]},{px[by]}"
+        elif size == 3:
+            (ax, ay), (bx, by), (cx, cy) = route
+            points = f"{px[ax]},{px[ay]} {px[bx]},{px[by]} {px[cx]},{px[cy]}"
+        elif size < 2:
             continue
-        points = " ".join([f"{px[gx]},{px[gy]}" for gx, gy in route])
+        else:
+            points = " ".join([f"{px[gx]},{px[gy]}" for gx, gy in route])
         lines.append(
             f'    <polyline class="{_CLASS[category[e]]}" points="{points}">'
             f"<title>{e[0]}-{e[1]}</title></polyline>"
@@ -91,8 +99,8 @@ def render_svg(layout: Layout) -> str:
             f"<title>{v}</title></circle>"
         )
     lines.append("  </g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)
 
 
 def _container(items: list[str], indent: str, brackets: str = "[]") -> str:
@@ -140,10 +148,25 @@ def render_json(
     for e in sorted(routes):
         u, v = e
         bundle_id = f'      "bundle_id": {id_of[e]},\n' if e in id_of else ""
-        points = [
-            f"        [\n          {px},\n          {py}\n        ]" for px, py in routes[e]
-        ]
-        route = _container(points, "      ")
+        points = routes[e]
+        size = len(points)
+        if size == 2:
+            (ax, ay), (bx, by) = points
+            route = (
+                f"[\n        [\n          {ax},\n          {ay}\n        ],\n"
+                f"        [\n          {bx},\n          {by}\n        ]\n      ]"
+            )
+        elif size == 4:
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
+            route = (
+                f"[\n        [\n          {ax},\n          {ay}\n        ],\n"
+                f"        [\n          {bx},\n          {by}\n        ],\n"
+                f"        [\n          {cx},\n          {cy}\n        ],\n"
+                f"        [\n          {dx},\n          {dy}\n        ]\n      ]"
+            )
+        else:
+            items = [f"        [\n          {gx},\n          {gy}\n        ]" for gx, gy in points]
+            route = _container(items, "      ")
         edges.append(
             f'    {{\n{bundle_id}      "category": {quoted[category[e]]},\n'
             f'      "route": {route},\n      "u": {u},\n      "v": {v}\n    }}'

@@ -492,6 +492,36 @@ class TestCli:
             "error: stage 'decomposition': line 1: expected vertex ids, got '0 1 2 # c'\n"
         )
 
+    def test_over_long_vertex_count_exits_2(self, tmp_path, capsys):
+        # zero padding counts toward the interpreter's 4,300-digit limit
+        edges = tmp_path / "g.edges"
+        edges.write_text("# count\n" + "0" * 4300 + "1\n")
+        assert main(["layout", str(edges)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'parse': line 2: a number of 4301 digits is longer than the "
+            "4300-digit limit\n"
+        )
+
+    def test_over_long_edge_endpoint_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 " + "1" * 5000 + "\n")
+        assert main(["layout", str(edges)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'parse': line 3: a number of 5000 digits is longer than the "
+            "4300-digit limit\n"
+        )
+
+    def test_over_long_path_id_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("3\n0 1\n1 2\n")
+        paths = tmp_path / "g.paths"
+        paths.write_text("0 1\n" + "2" * 4301 + "\n")
+        assert main(["layout", str(edges), "--paths", str(paths)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'decomposition': line 2: a number of 4301 digits is longer than "
+            "the 4300-digit limit\n"
+        )
+
     def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):
         edges = tmp_path / "ladder.edges"
         edges.write_text(serialize_graph(ladder_dag(1200)))

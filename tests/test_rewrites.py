@@ -227,7 +227,43 @@ def _toy_layout(seed: int) -> Layout:
     return _layout(x, y, routes, categories)
 
 
+# one route of each length the writers format by shape, every coordinate
+# distinct so that a swapped pair shows, and one with repeated points
+SHAPES = {
+    2: ((-3, 5), (7, -2)),
+    3: ((-3, 5), (7, -2), (0, 11)),
+    4: ((-3, 5), (7, -2), (0, 11), (-9, 4)),
+}
+REPEATED = ((2, -1), (2, -1), (-1, 2), (-1, 2))  # its first 2, 3 or 4 points
+BIG = 10**12
+
+
+def _shape_layout(size: int) -> Layout:
+    return _routed({(0, 1): SHAPES[size], (1, 0): REPEATED[:size]})
+
+
+def _far_layout() -> Layout:
+    """Routes with coordinates of ±10**12; a pixel table sized by range would not fit."""
+    return _routed(
+        {
+            (0, 1): ((-BIG, BIG), (BIG, BIG)),
+            (1, 2): ((BIG, BIG), (0, -BIG), (-BIG, -BIG)),
+            (2, 0): ((-BIG, -BIG), (-BIG, 0), (BIG, 0), (-BIG, BIG)),
+            (0, 2): ((-BIG, BIG), (3, 4), (BIG, -BIG), (-5, BIG), (-BIG, -BIG)),
+        }
+    )
+
+
 class TestRenderSvg:
+    @pytest.mark.parametrize("size", sorted(SHAPES))
+    def test_each_specialised_shape(self, size):
+        layout = _shape_layout(size)
+        assert render_svg(layout) == render_svg_reference(layout)
+
+    def test_coordinates_of_a_trillion_either_side(self):
+        layout = _far_layout()
+        assert render_svg(layout) == render_svg_reference(layout)
+
     @pytest.mark.parametrize("seed", range(60))
     def test_toy_layouts(self, seed):
         layout = _toy_layout(seed)
@@ -327,6 +363,17 @@ def _toy_bundles(layout: Layout, rng: random.Random) -> tuple[BundleRecord, ...]
 
 
 class TestRenderJson:
+    @pytest.mark.parametrize("size", sorted(SHAPES))
+    def test_each_specialised_shape(self, size):
+        layout = _shape_layout(size)
+        metrics = measure(layout)
+        assert render_json(layout, metrics) == render_json_reference(layout, metrics)
+
+    def test_coordinates_of_a_trillion_either_side(self):
+        layout = _far_layout()
+        metrics = MetricsReport(0, 0, 2 * BIG + 1, 2 * BIG + 1, (2 * BIG + 1) ** 2)
+        assert render_json(layout, metrics) == render_json_reference(layout, metrics)
+
     @pytest.mark.parametrize("meta", range(len(METAS)))
     @pytest.mark.parametrize(
         "case, seed",
