@@ -5,21 +5,19 @@ layout always yields one byte sequence. The JSON document round-trips
 losslessly: for every document ``doc`` that ``render_json`` returns,
 ``json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n" == doc``.
 
-Both writers format a route by its shape. ``draw`` emits routes of 2, 3 and
-4 points; the SVG writer writes each of those shapes with one f-string that
-unpacks its points, and the JSON writer does so for 2 and 4 points, the most
-common. Any other length goes through a list joined in order. The SVG
-writer formats each distinct grid coordinate's pixel text once into a dict,
-which holds one entry per distinct coordinate, not one per unit of range.
+The document is written from one f-string template per vertex, edge, bundle
+and route point, with every key in sorted order, rather than by building a
+dict and dumping it. The standard library uses its C encoder only when
+``indent`` is None, so an indented ``json.dumps`` runs the pure-Python
+generator encoder, one yield per integer of every route point; on 300-vertex
+graphs that cost more than drawing the layout. Strings, the seed and the
+toggle values still go through ``json.dumps``, so escaping is the standard
+library's.
 
-The JSON document is written from one f-string template per vertex, edge,
-bundle and route shape, with every key in sorted order, rather than by
-building a dict and dumping it. The standard library uses its C encoder
-only when ``indent`` is None, so an indented ``json.dumps`` runs the
-pure-Python generator encoder, one yield per integer of every route point;
-on 300-vertex graphs that cost more than drawing the layout. Strings, the
-seed and the toggle values still go through ``json.dumps``, so escaping is
-the standard library's.
+The SVG writer formats each distinct grid coordinate's pixel text once into
+a dict, which holds one entry per distinct coordinate, not one per unit of
+range. It writes a route of 2, 3 or 4 points with one f-string that unpacks
+the points, and joins a longer route point by point.
 """
 
 from __future__ import annotations
@@ -148,25 +146,10 @@ def render_json(
     for e in sorted(routes):
         u, v = e
         bundle_id = f'      "bundle_id": {id_of[e]},\n' if e in id_of else ""
-        points = routes[e]
-        size = len(points)
-        if size == 2:
-            (ax, ay), (bx, by) = points
-            route = (
-                f"[\n        [\n          {ax},\n          {ay}\n        ],\n"
-                f"        [\n          {bx},\n          {by}\n        ]\n      ]"
-            )
-        elif size == 4:
-            (ax, ay), (bx, by), (cx, cy), (dx, dy) = points
-            route = (
-                f"[\n        [\n          {ax},\n          {ay}\n        ],\n"
-                f"        [\n          {bx},\n          {by}\n        ],\n"
-                f"        [\n          {cx},\n          {cy}\n        ],\n"
-                f"        [\n          {dx},\n          {dy}\n        ]\n      ]"
-            )
-        else:
-            items = [f"        [\n          {gx},\n          {gy}\n        ]" for gx, gy in points]
-            route = _container(items, "      ")
+        points = [
+            f"        [\n          {px},\n          {py}\n        ]" for px, py in routes[e]
+        ]
+        route = _container(points, "      ")
         edges.append(
             f'    {{\n{bundle_id}      "category": {quoted[category[e]]},\n'
             f'      "route": {route},\n      "u": {u},\n      "v": {v}\n    }}'

@@ -38,6 +38,12 @@ from pathdraw.graph import serialize_graph
 from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the interpreter's limit on the digits int() converts from a decimal string:
+# 0 when it has none (PYTHONINTMAXSTRDIGITS=0, or CPython before 3.10.7)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="the interpreter converts decimals of any length"
+)
 PYPROJECT = README.with_name("pyproject.toml")
 
 ALL_ON = {"bundle_cross": True, "bundle_transitive": True, "compact": True, "reorder": True}
@@ -492,34 +498,37 @@ class TestCli:
             "error: stage 'decomposition': line 1: expected vertex ids, got '0 1 2 # c'\n"
         )
 
+    @needs_digit_limit
     def test_over_long_vertex_count_exits_2(self, tmp_path, capsys):
-        # zero padding counts toward the interpreter's 4,300-digit limit
+        # zero padding counts toward the interpreter's digit limit
         edges = tmp_path / "g.edges"
-        edges.write_text("# count\n" + "0" * 4300 + "1\n")
+        edges.write_text("# count\n" + "0" * DIGIT_LIMIT + "1\n")
         assert main(["layout", str(edges)]) == 2
         assert capsys.readouterr().err == (
-            "error: stage 'parse': line 2: a number of 4301 digits is longer than the "
-            "4300-digit limit\n"
+            f"error: stage 'parse': line 2: a number of {DIGIT_LIMIT + 1} digits is longer "
+            f"than the {DIGIT_LIMIT}-digit limit\n"
         )
 
+    @needs_digit_limit
     def test_over_long_edge_endpoint_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
-        edges.write_text("3\n0 1\n1 " + "1" * 5000 + "\n")
+        edges.write_text("3\n0 1\n1 " + "1" * (DIGIT_LIMIT + 700) + "\n")
         assert main(["layout", str(edges)]) == 2
         assert capsys.readouterr().err == (
-            "error: stage 'parse': line 3: a number of 5000 digits is longer than the "
-            "4300-digit limit\n"
+            f"error: stage 'parse': line 3: a number of {DIGIT_LIMIT + 700} digits is longer "
+            f"than the {DIGIT_LIMIT}-digit limit\n"
         )
 
+    @needs_digit_limit
     def test_over_long_path_id_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("3\n0 1\n1 2\n")
         paths = tmp_path / "g.paths"
-        paths.write_text("0 1\n" + "2" * 4301 + "\n")
+        paths.write_text("0 1\n" + "2" * (DIGIT_LIMIT + 1) + "\n")
         assert main(["layout", str(edges), "--paths", str(paths)]) == 2
         assert capsys.readouterr().err == (
-            "error: stage 'decomposition': line 2: a number of 4301 digits is longer than "
-            "the 4300-digit limit\n"
+            f"error: stage 'decomposition': line 2: a number of {DIGIT_LIMIT + 1} digits is "
+            f"longer than the {DIGIT_LIMIT}-digit limit\n"
         )
 
     def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):

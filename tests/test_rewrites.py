@@ -227,7 +227,7 @@ def _toy_layout(seed: int) -> Layout:
     return _layout(x, y, routes, categories)
 
 
-# one route of each length the writers format by shape, every coordinate
+# one route of each length render_svg formats by shape, every coordinate
 # distinct so that a swapped pair shows, and one with repeated points
 SHAPES = {
     2: ((-3, 5), (7, -2)),
@@ -364,7 +364,7 @@ def _toy_bundles(layout: Layout, rng: random.Random) -> tuple[BundleRecord, ...]
 
 class TestRenderJson:
     @pytest.mark.parametrize("size", sorted(SHAPES))
-    def test_each_specialised_shape(self, size):
+    def test_short_routes_with_negative_and_repeated_points(self, size):
         layout = _shape_layout(size)
         metrics = measure(layout)
         assert render_json(layout, metrics) == render_json_reference(layout, metrics)
