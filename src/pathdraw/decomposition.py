@@ -11,9 +11,10 @@ edge joins vertices of different paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .graph import DiGraph, number_too_long, topo_sort
+from .layout import CROSS, PATH, TRANSITIVE
 
 
 class DecompositionError(Exception):
@@ -73,6 +74,7 @@ class EdgeClassification:
     path_edges: frozenset[tuple[int, int]]
     transitive_edges: frozenset[tuple[int, int]]
     cross_edges: frozenset[tuple[int, int]]
+    category: dict[tuple[int, int], str] = field(compare=False, repr=False)  # derived from the sets
 
 
 @dataclass(frozen=True)
@@ -137,21 +139,24 @@ def validate_decomposition(
 
 
 def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
-    """Partition the edge set into path / transitive / cross edges."""
+    """Partition the edge set into path / transitive / cross edges, in one
+    pass that also maps each edge to its kind, which ``draw`` keeps."""
     path_of = d.path_of(g.vertex_count)
     steps = {e for path in d.paths for e in zip(path, path[1:])}
-    path_edges: set[tuple[int, int]] = set()
-    transitive: set[tuple[int, int]] = set()
-    cross: set[tuple[int, int]] = set()
+    path_edges, transitive, cross = set(), set(), set()
+    category: dict[tuple[int, int], str] = {}
     for e in g.edges:
         u, v = e
         if path_of[u] != path_of[v]:
             cross.add(e)
+            category[e] = CROSS
         elif e in steps:
             path_edges.add(e)
+            category[e] = PATH
         else:
             transitive.add(e)
-    return EdgeClassification(frozenset(path_edges), frozenset(transitive), frozenset(cross))
+            category[e] = TRANSITIVE
+    return EdgeClassification(*map(frozenset, (path_edges, transitive, cross)), category)
 
 
 def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> list[int]:
@@ -235,14 +240,13 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     match_left = _hopcroft_karp(g.vertex_count, adj)
     matched = set(match_left)  # every vertex with a predecessor on its path
     paths: list[tuple[int, ...]] = []
-    for start in range(g.vertex_count):
+    for start in rank:  # the ranks list the vertices in rank order
         if start in matched:
             continue
         path = [start]
         while match_left[path[-1]] != -1:
             path.append(match_left[path[-1]])
         paths.append(tuple(path))
-    paths.sort(key=lambda p: rank[p[0]])
     return PathDecomposition(tuple(paths))
 
 

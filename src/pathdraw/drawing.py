@@ -27,7 +27,6 @@ from .layout import (
     COL_LANE_RIGHT,
     COL_SPINE,
     CROSS,
-    PATH,
     TRANSITIVE,
     Layout,
     Point,
@@ -102,12 +101,11 @@ def draw(
             packing = pack_intervals(stack)
             trans_packings[pi] = reorder_lanes(packing) if reorder else packing
 
-    cross_set = cls.cross_edges
+    category = cls.category  # edge -> kind, in (u, v) order
+    cross_edges = [e for e, kind in category.items() if kind == CROSS]
     cross_packings = {
         gap: pack_intervals(occupants)
-        for gap, occupants in gap_occupants(
-            y, path_of, [e for e in g.edges if e in cross_set], bundle_cross_incoming
-        ).items()
+        for gap, occupants in gap_occupants(y, path_of, cross_edges, bundle_cross_incoming).items()
     }
 
     # Dense column grid, left to right: one tag per column, and the column
@@ -165,12 +163,8 @@ def draw(
     x = [spine_x[pi] for pi in path_of]
     position: list[Point] = list(zip(x, y))
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
-    category: dict[tuple[int, int], str] = {}
-    path_set = cls.path_edges
-    for e in g.edges:
+    for e, kind in category.items():
         u, v = e
-        kind = PATH if e in path_set else CROSS if e in cross_set else TRANSITIVE
-        category[e] = kind
         lane = lane_of.get(e)
         if lane is None:
             # path edges and one-row cross edges run straight; transitive

@@ -181,9 +181,10 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
 def topo_sort(g: DiGraph) -> dict[int, int]:
     """Topological rank of every vertex, by Kahn's algorithm.
 
-    A min-id heap makes the order reproducible. Raises GraphError naming a
-    vertex on a cycle if the graph is cyclic. The ranks are kept on g, so
-    later calls return the same dict; callers must not modify it.
+    A min-id heap makes the order reproducible. The dict lists the
+    vertices in rank order. Raises GraphError naming a vertex on a cycle
+    if the graph is cyclic. The ranks are kept on g, so later calls return
+    the same dict; callers must not modify it.
     """
     if "_rank" in g.__dict__:
         return g.__dict__["_rank"]

@@ -1,4 +1,4 @@
-"""The finished drawing's value types and its compaction self-check.
+"""The finished drawing's value types, its grid lines and its compaction self-check.
 
 Coordinates are integer grid cells. Row 0 is the top of the rendered output
 and every edge runs from a lower to a higher row. ``draw`` places the rows:
@@ -7,11 +7,14 @@ without compaction each vertex sits at the row of its topological rank
 predecessors and sources are on row 0, which brings the height down to the
 longest-path length exactly. ``assert_properties`` checks a compacted layout
 and raises ``InvariantError``, naming the vertices, when a property fails.
+``grid_lines`` lists the columns and rows in use, for metrics and the SVG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .graph import DiGraph
 
@@ -30,7 +33,7 @@ class Layout:
     x: dict[int, int]
     y: dict[int, int]
     routes: dict[tuple[int, int], tuple[Point, ...]]
-    category: dict[tuple[int, int], str]
+    category: dict[tuple[int, int], str]  # the edge -> kind map of classify_edges
     # no renderer or metric reads this; it stays while the benchmark's
     # drawing.columns counter (perfbench/spans.py, _columns) counts its entries
     column_meta: dict[int, str]
@@ -44,6 +47,16 @@ class MetricsReport:
     width: int
     height: int
     area: int
+
+
+def grid_lines(layout: Layout) -> tuple[set[int], set[int]]:
+    """The distinct columns and rows of vertices and route points, in C-level passes."""
+    points = layout.routes.values()
+    columns = set(layout.x.values())
+    columns.update(map(itemgetter(0), chain.from_iterable(points)))
+    rows = set(layout.y.values())
+    rows.update(map(itemgetter(1), chain.from_iterable(points)))
+    return columns, rows
 
 
 class InvariantError(Exception):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import gcd
 
-from .layout import Layout, MetricsReport, Point
+from .layout import Layout, MetricsReport, Point, grid_lines
 
 Segment = tuple[Point, Point]
 
@@ -180,14 +180,9 @@ def measure(layout: Layout) -> MetricsReport:
     with no gap, so the height is also the maximum row index; on a
     ``Layout`` with gaps between its rows, or rows below 0, it is not.
     """
-    xs = set(layout.x.values())
-    ys = set(layout.y.values())
-    for route in layout.routes.values():
-        for px, py in route:
-            xs.add(px)
-            ys.add(py)
-    width = len(xs)
-    height = max(len(ys) - 1, 0)
+    columns, rows = grid_lines(layout)
+    width = len(columns)
+    height = max(len(rows) - 1, 0)
     return MetricsReport(
         crossings=count_crossings(layout),
         bends=count_bends(layout),

@@ -12,23 +12,22 @@ dict and dumping it. The standard library uses its C encoder only when
 generator encoder, one yield per integer of every route point; on 300-vertex
 graphs that cost more than drawing the layout. Strings, the seed and the
 toggle values still go through ``json.dumps``, so escaping is the standard
-library's.
+library's. Vertex objects are written during one walk over the paths and
+emitted in id order.
 
-The SVG writer formats each distinct grid coordinate's pixel text once into
-a dict, which holds one entry per distinct coordinate, not one per unit of
-range. It writes a route of 2, 3 or 4 points with one f-string that unpacks
-the points, and joins a longer route point by point.
+The SVG writer formats the pixel text of each column and row from
+``grid_lines`` once, into a dict with one entry per distinct coordinate.
+It writes a route of 2, 3 or 4 points with one f-string that unpacks the
+points, and joins a longer route point by point.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
-from operator import itemgetter
 
 from . import __version__
 from .drawing import BundleRecord
-from .layout import Layout, MetricsReport
+from .layout import Layout, MetricsReport, grid_lines
 
 SVG_PITCH = 24  # pixels per grid unit
 SVG_RADIUS = 6  # vertex glyph radius
@@ -52,11 +51,7 @@ def render_svg(layout: Layout) -> str:
     routes = layout.routes
     category = layout.category
     xs, ys = layout.x, layout.y
-    # each axis's distinct coordinates, taken in C passes over the route points
-    columns = set(xs.values())
-    columns.update(map(itemgetter(0), chain.from_iterable(routes.values())))
-    rows = set(ys.values())
-    rows.update(map(itemgetter(1), chain.from_iterable(routes.values())))
+    columns, rows = grid_lines(layout)
     width, height = _px(max(columns, default=0) + 1), _px(max(rows, default=0) + 1)
     # each distinct coordinate's pixel text, formatted once for both axes
     px = {grid: str(_px(grid)) for grid in columns | rows}
@@ -126,18 +121,15 @@ def render_json(
     lists it as a member.
     """
     id_of = {e: b.id for b in bundles for e in b.members}
-    order: dict[int, tuple[int, int]] = {}
+    xs, ys = layout.x, layout.y
+    vertex_obj: dict[int, str] = {}
     for pi, path in enumerate(layout.paths):
         for j, v in enumerate(path):
-            order[v] = (pi, j)
-    xs, ys = layout.x, layout.y
-    vertices = []
-    for v in sorted(xs):
-        pi, j = order[v]
-        vertices.append(
-            f'    {{\n      "id": {v},\n      "order_in_path": {j},\n      "path": {pi},\n'
-            f'      "x": {xs[v]},\n      "y": {ys[v]}\n    }}'
-        )
+            vertex_obj[v] = (
+                f'    {{\n      "id": {v},\n      "order_in_path": {j},\n      "path": {pi},\n'
+                f'      "x": {xs[v]},\n      "y": {ys[v]}\n    }}'
+            )
+    vertices = [vertex_obj[v] for v in sorted(xs)]
     routes = layout.routes
     category = layout.category
     # each category string is escaped once

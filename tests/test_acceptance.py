@@ -32,6 +32,7 @@ from pathdraw import (
     generate_random_dag,
     min_path_cover,
     remove_cycles,
+    render_svg,
     topo_sort,
 )
 from pathdraw.bundling import BundleInterval, pack_intervals
@@ -162,9 +163,23 @@ def _timed_drawing_window(g, cover) -> float:
         gc.enable()
 
 
-def _growth(make, sizes, seeds, repeats) -> tuple[list[float], float]:
-    """Each size's median, over seeds, of the drawing window on
-    ``make(size, seed)``, and the wall time taken.
+def _timed(fn, *args) -> float:
+    """Wall time of ``fn(*args)``, with GC paused as in the drawing window."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+def _growth(timed, make, sizes, seeds, repeats) -> tuple[list[float], float]:
+    """Each size's median, over seeds, of ``timed(*make(size, seed))``, the
+    seconds that one call takes, and the wall time taken.
 
     Every input is built first. Each of ``repeats`` rounds then visits each
     seed at every size in turn, and each input keeps the minimum of its
@@ -181,7 +196,7 @@ def _growth(make, sizes, seeds, repeats) -> tuple[list[float], float]:
     for _ in range(repeats):
         for j in range(len(seeds)):
             for i, row in enumerate(inputs):
-                best[i][j] = min(best[i][j], _timed_drawing_window(*row[j]))
+                best[i][j] = min(best[i][j], timed(*row[j]))
     return [median(times) for times in best], time.perf_counter() - start
 
 
@@ -195,7 +210,7 @@ def test_criterion_06_scaling_trend():
         return g, min_path_cover(remove_cycles(g).dag)
 
     sizes = (1000, 2000, 4000, 8000)
-    medians, elapsed = _growth(make, sizes, range(1, 8), 5)
+    medians, elapsed = _growth(_timed_drawing_window, make, sizes, range(1, 8), 5)
     assert elapsed < 60.0
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     per_doubling = (medians[-1] / medians[0]) ** (1 / (len(sizes) - 1))
@@ -217,7 +232,11 @@ def test_criterion_11_chains_scaling_trend():
     # grows past it.
     lengths = (250, 500, 1000, 2000)
     medians, elapsed = _growth(
-        lambda length, seed: chains_dag(4, length, seed), lengths, range(1, 4), 3
+        _timed_drawing_window,
+        lambda length, seed: chains_dag(4, length, seed),
+        lengths,
+        range(1, 4),
+        3,
     )
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     per_doubling = (medians[-1] / medians[0]) ** (1 / (len(lengths) - 1))
@@ -238,7 +257,9 @@ def test_criterion_12_many_lane_scaling_trend():
     # 3.0 per doubling of n; a lane-by-lane packing scan or an all-pairs
     # lane-pair count is quadratic in the lanes and grows past it.
     sizes = (500, 1000, 2000, 4000)
-    times, elapsed = _growth(lambda n, _: many_lane_dag(n), sizes, (None,), 5)
+    times, elapsed = _growth(
+        _timed_drawing_window, lambda n, _: many_lane_dag(n), sizes, (None,), 5
+    )
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     per_doubling = (times[-1] / times[0]) ** (1 / (len(sizes) - 1))
     assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
@@ -261,7 +282,7 @@ def test_criterion_13_cyclic_scaling_trend():
         return g, min_path_cover(remove_cycles(g).dag)
 
     sizes = (1000, 2000, 4000, 8000)
-    medians, elapsed = _growth(make, sizes, range(1, 4), 3)
+    medians, elapsed = _growth(_timed_drawing_window, make, sizes, range(1, 4), 3)
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     per_doubling = (medians[-1] / medians[0]) ** (1 / (len(sizes) - 1))
     assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
@@ -272,6 +293,56 @@ def test_criterion_13_cyclic_scaling_trend():
         f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
         f"on cyclic digraphs of n=1000..8000, m=2n ({elapsed:.1f}s)",
     )
+
+
+def _uniform_dag(n, seed):
+    return generate_random_dag(n, 1.6, seed)
+
+
+def _cyclic_dag(n, seed):
+    return remove_cycles(DiGraph.build(n, cyclic_digraph_edges(n, 2 * n, seed))).dag
+
+
+def _check_growth(criterion, make, bound, what) -> None:
+    """Gate ``_timed(*make(dag))`` on the uniform and the cyclic DAGs,
+    n = 1000..8000: a trend of at most ``bound`` per doubling, no step
+    above 3.5, and under 30 s for both families together."""
+    sizes = (1000, 2000, 4000, 8000)
+    trends = []
+    elapsed = 0.0
+    for family, dag in (("uniform", _uniform_dag), ("cyclic", _cyclic_dag)):
+        medians, spent = _growth(_timed, lambda n, seed: make(dag(n, seed)), sizes, range(1, 4), 5)
+        elapsed += spent
+        ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
+        per_doubling = (medians[-1] / medians[0]) ** (1 / (len(sizes) - 1))
+        assert per_doubling <= bound, f"{family}: trend {per_doubling:.2f}, steps {ratios}"
+        assert all(r <= 3.5 for r in ratios), f"{family}: a step grew superlinearly: {ratios}"
+        pretty = ", ".join(f"{r:.2f}" for r in ratios)
+        trends.append(f"{family} {per_doubling:.2f}x per doubling (steps [{pretty}])")
+    assert elapsed < 30.0
+    _report(criterion, f"{what}: {'; '.join(trends)} on n=1000..8000 ({elapsed:.1f}s)")
+
+
+def test_criterion_14_path_cover_scaling_trend():
+    # Hopcroft-Karp runs in O(m sqrt(n)), 2.83 per doubling at m ~ n; the
+    # cover must grow by at most 3.0 per doubling on the uniform DAGs and on
+    # the cyclic digraphs after cycle removal. The ranks are sorted before
+    # the clock starts, so only the matching and the path walk are timed.
+    def make(dag):
+        topo_sort(dag)
+        return min_path_cover, dag
+
+    _check_growth(14, make, 3.0, "min_path_cover")
+
+
+def test_criterion_15_svg_scaling_trend():
+    # The SVG writer is linear in the route points, and its canvas and
+    # pixel text grow with the distinct coordinates: at most 2.5 per
+    # doubling, as for the drawing window in criterion 06.
+    def make(dag):
+        return render_svg, draw(dag, min_path_cover(dag)).layout
+
+    _check_growth(15, make, 2.5, "render_svg")
 
 
 def test_criterion_07_hiding_transitive_preserves_positions():

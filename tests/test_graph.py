@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import pathdraw.generator
 import pathdraw.graph
 from oracles import longest_ending_at_bruteforce, longest_path_ending_at, random_digraph
 from pathdraw import (
@@ -91,6 +92,10 @@ class TestCanonicalEdges:
         with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
             DiGraph.build(3, [(2, 1), (2, 1), (0, 1), (0, 1)])
 
+    def test_negative_vertex_count_is_rejected(self):
+        with pytest.raises(GraphError, match=r"^vertex count must be non-negative, got -1$"):
+            DiGraph.build(-1, [])
+
     def test_range_and_self_loop_faults_win_over_an_earlier_repeat(self):
         with pytest.raises(GraphError, match=r"^edge \(0, 5\) out of range for 3 vertices$"):
             DiGraph.build(3, [(0, 1), (0, 1), (0, 5)])
@@ -108,6 +113,17 @@ class TestCanonicalEdges:
         assert result.dag == DiGraph.build(4, result.dag.edges[::-1])
         assert result.dag._succ == ((1, 3), (2,), (3,), ())
         assert result.dag._pred == ((), (0,), (1,), (0, 2))
+
+
+def test_sparse_generator_samples_distinct_forward_edges():
+    # 2000 vertices have more pairs than the generator enumerates, and 3200
+    # edges are under a third of them, so it samples pairs by rejection
+    n = 2000
+    assert n * (n - 1) // 2 > pathdraw.generator._ENUMERATE_LIMIT
+    g = generate_random_dag(n, 1.6, seed=4)
+    assert g.edge_count == round(n * 1.6) == len(set(g.edges))
+    assert len(topo_sort(g)) == n
+    assert generate_random_dag(n, 1.6, seed=4).edges == g.edges
 
 
 def test_graph_cannot_be_built_without_adjacency():

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -590,6 +591,20 @@ class TestCli:
         assert lines[0] == "graph_id,n,m,crossings,bends,width,height,area,wall_ms"
         assert len(lines) == 5
         assert "median n=10" in capsys.readouterr().out
+
+    def test_bench_without_out_prints_csv_then_medians(self, capsys):
+        assert main(["bench", "--sizes", "10,20", "--deg", "1.6", "--seeds", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "graph_id,n,m,crossings,bends,width,height,area,wall_ms"
+        rows = [line.split(",") for line in lines[1:5]]
+        assert [row[0] for row in rows] == [
+            "n10-d1.6-s1", "n10-d1.6-s2", "n20-d1.6-s1", "n20-d1.6-s2"
+        ]
+        walls = [float(row[-1]) for row in rows]
+        assert lines[5:] == [
+            f"median n=10: {median(walls[:2]):.3f} ms",
+            f"median n=20: {median(walls[2:]):.3f} ms",
+        ]
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         edges = tmp_path / "g.edges"
