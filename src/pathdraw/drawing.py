@@ -61,35 +61,32 @@ def draw(
 ) -> Drawing:
     """Produce the complete drawing for a DAG and decomposition.
 
-    Rows come from the topological ranks ``t`` (those ``topo_sort`` keeps
-    on g when it is not given), compacted unless ``compact_rows`` is off,
-    in which case each vertex keeps its rank as its row. Disabling
-    ``bundle_transitive_edges`` hides transitive edges entirely (empty
-    routes, no lanes); disabling ``bundle_cross_incoming`` keeps every cross
-    edge on its own lane occupancy. Raises DecompositionError unless the
-    paths of ``d`` partition the vertices of ``g``.
+    Rows are compacted: a source sits on row 0 and every other vertex one
+    row below its lowest predecessor, so its row is the length of the
+    longest path ending at it, whatever ranks are given. ``t`` is read
+    only when ``compact_rows`` is off: each vertex's row is then its rank
+    in ``t``, or in the ranks ``topo_sort`` keeps on g when ``t`` is None.
+    Disabling ``bundle_transitive_edges`` hides transitive edges entirely
+    (empty routes, no lanes); disabling ``bundle_cross_incoming`` keeps
+    every cross edge on its own lane occupancy. Raises DecompositionError
+    unless the paths of ``d`` partition the vertices of ``g``.
     """
-    if t is None:
-        t = topo_sort(g)
     n = g.vertex_count
     path_of = d.path_of(n)
     cls = classify_edges(g, d)
     # dense ids let the hot loops run on lists instead of dicts
     y: list[int] = [0] * n
     if compact_rows:
-        # row = 1 + the largest predecessor row, visiting in rank order, so
-        # sources are on row 0
-        order = [0] * n
-        for v, r in t.items():
-            order[r] = v
-        for v in order:
+        # row = 1 + the largest predecessor row; the dict topo_sort keeps
+        # on g lists the vertices in rank order, predecessors first
+        for v in topo_sort(g):
             best = -1
             for u in g.predecessors(v):
                 if y[u] > best:
                     best = y[u]
             y[v] = best + 1
     else:
-        for v, r in t.items():
+        for v, r in (topo_sort(g) if t is None else t).items():
             y[v] = r
     k = d.path_count
 

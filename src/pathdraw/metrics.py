@@ -15,17 +15,6 @@ from math import gcd
 
 from .layout import Layout, MetricsReport, Point, grid_lines
 
-Segment = tuple[Point, Point]
-
-
-def route_segments(route: tuple[Point, ...]) -> list[Segment]:
-    return [
-        (route[i], route[i + 1])
-        for i in range(len(route) - 1)
-        if route[i] != route[i + 1]
-    ]
-
-
 def count_crossings(layout: Layout) -> int:
     """Number of unordered route pairs that cross.
 
@@ -61,7 +50,9 @@ def count_crossings(layout: Layout) -> int:
     d_start: dict[int, list[int]] = {}  # row -> diagonal indices
     d_end: dict[int, list[int]] = {}
     for rid, route in enumerate(layout.routes.values()):
-        for a, b in route_segments(route):
+        for a, b in zip(route, route[1:]):
+            if a == b:
+                continue
             if (a[1], a[0]) > (b[1], b[0]):
                 a, b = b, a
             if a[1] == b[1]:
@@ -216,7 +207,9 @@ def count_vertex_touches(layout: Layout) -> int:
     touches = 0
     for (u, w), route in layout.routes.items():
         hit: set[int] = set()
-        for a, b in route_segments(route):
+        for a, b in zip(route, route[1:]):
+            if a == b:
+                continue
             if a[0] == b[0] or a[1] == b[1]:
                 line, axis = (columns.get(a[0]), 1) if a[0] == b[0] else (rows.get(a[1]), 0)
                 if line:

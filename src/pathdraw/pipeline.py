@@ -7,9 +7,11 @@ transitive bundling with lane packing and reorder, cross-edge gap routing,
 grid assembly), the self-check ``layout.assert_properties``, which raises
 ``InvariantError`` when a compacted layout breaks a property. ``read_graph``
 reads and parses an edge-list file first. ``topo_sort`` keeps its ranks on
-the DAG, so the path cover and the drawing reuse them. Metrics are computed
-only when ``PipelineResult.metrics`` is first read. Any stage failure, a
-failed self-check included, is re-raised with the stage name. The
+the DAG, so the path cover and the drawing reuse them: ``draw`` compacts
+the rows visiting the vertices in rank order, and with compaction off puts
+each vertex on the row of its rank. Metrics are computed only when
+``PipelineResult.metrics`` is first read. Any stage failure, a failed
+self-check included, is re-raised with the stage name. The
 wall-clock window that the benchmark reports covers cycle removal, the
 topological sort, and the drawing stages; reading and parsing, the
 path-cover computation (part of the input in this framework), metrics, and
@@ -81,7 +83,7 @@ def run_pipeline_full(
     t0 = time.perf_counter()
     removal = run_stage("cycle-removal", remove_cycles, g)
     dag = removal.dag
-    order = run_stage("topo-sort", topo_sort, dag)
+    run_stage("topo-sort", topo_sort, dag)
     timed = time.perf_counter() - t0
 
     if paths_text is not None:
@@ -97,7 +99,6 @@ def run_pipeline_full(
         draw,
         dag,
         d,
-        order,
         compact_rows=compact,
         bundle_transitive_edges=bundle_transitive,
         bundle_cross_incoming=bundle_cross,

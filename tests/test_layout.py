@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -89,6 +90,45 @@ class TestCompact:
         for u, v in g.edges:
             assert done.y[u] < done.y[v]
         assert _height(done) == max(longest_path_ending_at(g).values())
+
+    @pytest.mark.parametrize("ranks", ["none", "kept-shuffled", "max-id-kahn", "ids"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_do_not_depend_on_the_ranks_given(self, seed, ranks):
+        g = generate_random_dag(40, 1.6, seed)
+        d = min_path_cover(g)
+        t = _ranks(g, ranks, seed)
+        assert draw(g, d, t).layout.y == longest_path_ending_at(g)
+        # uncompacted rows are the ranks themselves, topological or not
+        assert draw(g, d, t, compact_rows=False).layout.y == (topo_sort(g) if t is None else t)
+
+
+def _ranks(g, kind, seed):
+    """The ``t`` passed to ``draw``: none, the kept ranks with their keys
+    shuffled, the ranks of a max-id Kahn order, or the vertex ids, which
+    are not topological."""
+    n = g.vertex_count
+    if kind == "none":
+        return None
+    if kind == "kept-shuffled":
+        items = list(topo_sort(g).items())
+        random.Random(seed).shuffle(items)
+        return dict(items)
+    if kind == "max-id-kahn":
+        indeg = [len(g.predecessors(v)) for v in range(n)]
+        heap = [-v for v in range(n) if not indeg[v]]
+        heapify(heap)
+        rank = {}
+        while heap:
+            v = -heappop(heap)
+            rank[v] = len(rank)
+            for w in g.successors(v):
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heappush(heap, -w)
+        return rank
+    # ids as ranks: some edge runs from a higher id to a lower one
+    assert any(u > v for u, v in g.edges)
+    return {v: v for v in range(n)}
 
 
 class TestProperties:

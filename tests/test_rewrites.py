@@ -190,7 +190,8 @@ class TestGapOccupants:
 class TestDrawOrder:
     @pytest.mark.parametrize("seed", range(6))
     def test_routes_and_cross_routes_follow_sorted_edges(self, seed):
-        # cycle removal leaves flipped edges out of order in dag.edges
+        # routes, categories and cross routes come in the graph's edge
+        # order, which is (u, v) order, on a DAG from cycle removal too
         g = remove_cycles(_cyclic(seed, n_max=200)).dag
         d = min_path_cover(g)
         drawing = draw(g, d)
