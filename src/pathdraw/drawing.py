@@ -1,15 +1,6 @@
-"""Final grid assembly: lane columns, route polylines, bundle records.
-
-One pass lays out the whole drawing on a dense integer grid, left to right.
-A stack of lanes, whether the cross-edge lanes of a gap or the transitive
-lanes of a path, is placed by one routine: it numbers the lanes outward
-from the spine and records the column of every member edge. Per path come
-its gap (the lanes of cross edges into that path), its transitive stack
-unless it is the last path, and its spine; the last path's stack sits
-right of its spine. Every route is read off the edge -> column map. A gap
-occupant with two or more members is a shared trunk and gets a bundle
-record; a lone edge's occupant gets none.
-"""
+"""The drawing engine: ``draw`` classifies the edges, then runs five
+sub-stages in order, each a function here that takes its inputs as
+arguments and returns its product."""
 
 from __future__ import annotations
 
@@ -18,8 +9,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .bundling import BundleInterval, LanePacking, pack_intervals, reorder_lanes, transitive_bundles
-from .decomposition import PathDecomposition, classify_edges
+from .bundling import LanePacking, pack_intervals, reorder_lanes, transitive_bundles
+from .decomposition import EdgeClassification, PathDecomposition, classify_edges
 from .graph import DiGraph, topo_sort
 from .layout import (
     COL_CROSS,
@@ -61,103 +52,121 @@ def draw(
 ) -> Drawing:
     """Produce the complete drawing for a DAG and decomposition.
 
-    Rows are compacted: a source sits on row 0 and every other vertex one
-    row below its lowest predecessor, so its row is the length of the
-    longest path ending at it, whatever ranks are given. ``t`` is read
-    only when ``compact_rows`` is off: each vertex's row is then its rank
-    in ``t``, or in the ranks ``topo_sort`` keeps on g when ``t`` is None.
-    Disabling ``bundle_transitive_edges`` hides transitive edges entirely
-    (empty routes, no lanes); disabling ``bundle_cross_incoming`` keeps
-    every cross edge on its own lane occupancy. Raises DecompositionError
-    unless the paths of ``d`` partition the vertices of ``g``.
+    Rows come from ``place_rows``; ``t`` is not read, and stays only for
+    callers that pass ranks positionally. Without ``bundle_transitive_edges``
+    transitive edges are hidden (empty routes, no lanes); without
+    ``bundle_cross_incoming`` every cross edge has a lane occupancy of its
+    own. Raises DecompositionError unless the paths of ``d`` partition g.
     """
-    n = g.vertex_count
-    path_of = d.path_of(n)
+    path_of = d.path_of(g.vertex_count)
     cls = classify_edges(g, d)
-    # dense ids let the hot loops run on lists instead of dicts
-    y: list[int] = [0] * n
-    if compact_rows:
-        # row = 1 + the largest predecessor row; the dict topo_sort keeps
-        # on g lists the vertices in rank order, predecessors first
-        for v in topo_sort(g):
-            best = -1
-            for u in g.predecessors(v):
-                if y[u] > best:
-                    best = y[u]
-            y[v] = best + 1
-    else:
-        for v, r in (topo_sort(g) if t is None else t).items():
-            y[v] = r
-    k = d.path_count
+    y = place_rows(g, compact_rows)
+    stacks = transitive_stacks(d, cls, y, reorder) if bundle_transitive_edges else {}
+    gaps = gap_stacks(cls, y, path_of, bundle_cross_incoming)
+    tags, x, lane_of, records = column_grid(path_of, d.path_count, gaps, stacks)
+    final = Layout(
+        x=dict(enumerate(x)),
+        y=dict(enumerate(y)),
+        routes=route_edges(cls.category, x, y, lane_of),
+        category=cls.category,
+        column_meta=dict(enumerate(tags)),
+        paths=d.paths,
+    )
+    return Drawing(layout=final, bundles=records)
 
-    # one stack per path with transitive edges: the last path's on its
-    # right, every other path's on its left
-    trans_packings: dict[int, LanePacking] = {}
-    if bundle_transitive_edges:
-        for pi, stack in groupby(transitive_bundles(d, cls, y), attrgetter("path_index")):
-            packing = pack_intervals(stack)
-            trans_packings[pi] = reorder_lanes(packing) if reorder else packing
 
-    category = cls.category  # edge -> kind, in (u, v) order
-    cross_edges = [e for e, kind in category.items() if kind == CROSS]
-    cross_packings = {
-        gap: pack_intervals(occupants)
-        for gap, occupants in gap_occupants(y, path_of, cross_edges, bundle_cross_incoming).items()
-    }
+def place_rows(g: DiGraph, compact: bool) -> list[int]:
+    """Rows by dense id. Compacted, a source sits on row 0 and every other
+    vertex one row below its lowest predecessor, so its row is the longest
+    path ending at it; otherwise a vertex's row is its rank in ``topo_sort``."""
+    ranks = topo_sort(g)  # kept on g; lists the vertices predecessors first
+    if not compact:
+        return [ranks[v] for v in range(g.vertex_count)]
+    y = [0] * g.vertex_count  # dense ids let the hot loop index a list, not a dict
+    for v in ranks:
+        best = -1
+        for u in g.predecessors(v):
+            if y[u] > best:
+                best = y[u]
+        y[v] = best + 1
+    return y
 
-    # Dense column grid, left to right: one tag per column, and the column
-    # of every edge that rides a lane.
+
+def transitive_stacks(
+    d: PathDecomposition, cls: EdgeClassification, y: list[int], reorder: bool
+) -> dict[int, LanePacking]:
+    """Path index -> the packed lanes of its transitive bundles, reordered if ``reorder``."""
+    bundles = groupby(transitive_bundles(d, cls, y), attrgetter("path_index"))
+    packed = {pi: pack_intervals(stack) for pi, stack in bundles}
+    return {pi: reorder_lanes(p) for pi, p in packed.items()} if reorder else packed
+
+
+def gap_stacks(
+    cls: EdgeClassification, y: list[int], path_of: list[int], bundle_cross_incoming: bool
+) -> dict[int, LanePacking]:
+    """Gap index -> the packed lanes of its occupants, for every gap with any."""
+    cross_edges = [e for e, kind in cls.category.items() if kind == CROSS]
+    occupants = gap_occupants(y, path_of, cross_edges, bundle_cross_incoming)
+    return {gap: pack_intervals(items) for gap, items in occupants.items()}
+
+
+def column_grid(
+    path_of: list[int], k: int, gaps: dict[int, LanePacking], stacks: dict[int, LanePacking]
+) -> tuple[list[str], list[int], dict[tuple[int, int], int], tuple[BundleRecord, ...]]:
+    """Lay the k paths' stacks and spines out left to right. Returns one tag
+    per column, each vertex's column (its path's spine), each laned edge's
+    column and the bundle records: transitive ones by (path, lane, row), then
+    one per shared trunk (a gap occupant with two or more members; a lone
+    edge's gets none) by target, since a target has one trunk."""
     tags: list[str] = []
     lane_of: dict[tuple[int, int], int] = {}
+    records: list[BundleRecord] = []
+    trunks: list[tuple[int, GapOccupant]] = []  # recorded after every transitive bundle
 
-    def place(
-        packing: LanePacking, tag: str, leftward: bool
-    ) -> list[tuple[int, BundleInterval | GapOccupant]]:
-        """Append one stack's columns and return its (column, interval) pairs.
-
-        Lanes are numbered outward from the spine: lane li sits li columns
-        left of the lane beside the spine for a gap or left stack, li
-        columns right of it for the right stack. Pairs come lane by lane,
-        each lane's intervals in start-row order.
-        """
+    def place(packing: LanePacking, tag: str, leftward: bool) -> None:
+        """Append one stack's columns. Lanes are numbered outward from the
+        spine: lane li sits li columns left of the lane beside the spine for
+        a gap or left stack, li columns right of it for the right stack."""
         base = len(tags)
         count = packing.lane_count
         tags.extend([tag] * count)
-        placed = []
         for li, lane in enumerate(packing.lanes):
             column = base + count - 1 - li if leftward else base + li
             for item in lane:
                 for e in item.members:
                     lane_of[e] = column
-                placed.append((column, item))
-        return placed
+                if tag == COL_CROSS:
+                    if len(item.members) > 1:
+                        trunks.append((column, item))
+                    continue
+                span = (item.start_row, item.finish_row)
+                records.append(
+                    BundleRecord(len(records), TRANSITIVE, item.anchor, column, span, item.members)
+                )
 
     # per path: cross lanes, its transitive stack unless it is the last
     # path, its spine; the last path's stack then goes right of its spine
-    stacks: list[tuple[int, BundleInterval]] = []
-    trunks: list[tuple[int, GapOccupant]] = []
-    spine_x: list[int] = [0] * k
+    spine_x = [0] * k
     for i in range(k):
-        if i in cross_packings:
-            placed = place(cross_packings[i], COL_CROSS, True)
-            trunks += [(column, occ) for column, occ in placed if len(occ.members) > 1]
-        if i in trans_packings and i < k - 1:
-            stacks += place(trans_packings[i], COL_LANE_LEFT, True)
+        if i in gaps:
+            place(gaps[i], COL_CROSS, True)
+        if i in stacks and i < k - 1:
+            place(stacks[i], COL_LANE_LEFT, True)
         spine_x[i] = len(tags)
         tags.append(COL_SPINE)
-    if k - 1 in trans_packings:
-        stacks += place(trans_packings[k - 1], COL_LANE_RIGHT, False)
-    # Transitive records come out ordered by (path, lane, row); cross
-    # records, one per shared trunk, by target, since a target has one trunk.
+    if k - 1 in stacks:
+        place(stacks[k - 1], COL_LANE_RIGHT, False)
     trunks.sort(key=lambda placed: placed[1].target)
-    bundles = [("transitive", iv.anchor, column, iv) for column, iv in stacks]
-    bundles += [("cross", occ.target, column, occ) for column, occ in trunks]
-    records = tuple(
-        BundleRecord(i, kind, anchor, column, (item.start_row, item.finish_row), item.members)
-        for i, (kind, anchor, column, item) in enumerate(bundles)
-    )
+    for column, occ in trunks:
+        span = (occ.start_row, occ.finish_row)
+        records.append(BundleRecord(len(records), CROSS, occ.target, column, span, occ.members))
+    return tags, [spine_x[pi] for pi in path_of], lane_of, tuple(records)
 
-    x = [spine_x[pi] for pi in path_of]
+
+def route_edges(
+    category: dict[tuple[int, int], str], x: list[int], y: list[int], lane_of: dict
+) -> dict[tuple[int, int], tuple[Point, ...]]:
+    """Each edge's polyline, in ``category`` order, read off its column."""
     position: list[Point] = list(zip(x, y))
     routes: dict[tuple[int, int], tuple[Point, ...]] = {}
     for e, kind in category.items():
@@ -171,13 +180,4 @@ def draw(
             routes[e] = (position[u], (lane, y[u]), position[v])
         else:
             routes[e] = (position[u], (lane, y[u]), (lane, y[v]), position[v])
-
-    final = Layout(
-        x=dict(enumerate(x)),
-        y=dict(enumerate(y)),
-        routes=routes,
-        category=category,
-        column_meta=dict(enumerate(tags)),
-        paths=d.paths,
-    )
-    return Drawing(layout=final, bundles=records)
+    return routes

@@ -7,7 +7,9 @@ densities {1.6, 5.6} edges per node, drawn with every stage enabled.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from itertools import product
 from statistics import median
@@ -26,6 +28,7 @@ from oracles import (
     min_cover_bruteforce,
     segment_count,
 )
+import pathdraw
 from pathdraw import (
     DiGraph,
     draw,
@@ -200,6 +203,51 @@ def _growth(timed, make, sizes, seeds, repeats) -> tuple[list[float], float]:
     return [median(times) for times in best], time.perf_counter() - start
 
 
+def _lines_run(fn, *args) -> int:
+    """Lines the interpreter executes in ``pathdraw``'s own files while
+    ``fn(*args)`` runs.
+
+    Unlike wall time the count does not move with the host's load or
+    caches. Work done in C, such as a sort or a join, counts as one line, so
+    the count complements the timed gates rather than replacing them. The
+    tracer installed before, say a coverage tool's, is restored.
+    """
+    package = os.path.dirname(pathdraw.__file__) + os.sep
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _check_line_growth(criterion, make, families, what) -> None:
+    """Gate ``_lines_run(*make(dag))`` on each named DAG family at n =
+    1000..8000, seed 1: a linear stage executes about twice the lines per
+    doubling, so no step may exceed 2.2."""
+    sizes = (1000, 2000, 4000, 8000)
+    trends = []
+    for family, dag in families:
+        counts = [_lines_run(*make(dag(n, 1))) for n in sizes]
+        ratios = [counts[i + 1] / counts[i] for i in range(len(counts) - 1)]
+        assert all(r <= 2.2 for r in ratios), f"{family}: lines {counts}, steps {ratios}"
+        pretty = ", ".join(f"{r:.2f}" for r in ratios)
+        trends.append(f"{family} {counts[0]:,} -> {counts[-1]:,} lines (steps [{pretty}])")
+    _report(criterion, f"{what}: {'; '.join(trends)} on n=1000..8000")
+
+
 def test_criterion_06_scaling_trend():
     # Growth *trend* per doubling: the geometric-mean ratio across the size
     # ladder must stay <= 2.5 (a quadratic stage would push it past 4).
@@ -343,6 +391,30 @@ def test_criterion_15_svg_scaling_trend():
         return render_svg, draw(dag, min_path_cover(dag)).layout
 
     _check_growth(15, make, 2.5, "render_svg")
+
+
+def _draw_args(dag):
+    # the cover sorts the DAG first, so the count is draw's own
+    return draw, dag, min_path_cover(dag)
+
+
+def test_criterion_06_line_growth():
+    # criterion 06's family, counted in executed lines instead of seconds
+    _check_line_growth(6, _draw_args, [("uniform", _uniform_dag)], "draw")
+
+
+def test_criterion_13_line_growth():
+    # criterion 13's family, counted in executed lines instead of seconds
+    _check_line_growth(13, _draw_args, [("cyclic", _cyclic_dag)], "draw")
+
+
+def test_criterion_15_line_growth():
+    # criterion 15's two families, counted in executed lines instead of seconds
+    def make(dag):
+        return render_svg, draw(dag, min_path_cover(dag)).layout
+
+    families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
+    _check_line_growth(15, make, families, "render_svg")
 
 
 def test_criterion_07_hiding_transitive_preserves_positions():
