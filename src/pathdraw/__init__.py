@@ -23,12 +23,5 @@ from .generator import generate_random_dag
 from .graph import DiGraph, GraphError, parse_graph, remove_cycles, topo_sort
 from .layout import InvariantError
 from .metrics import count_bends, measure
-from .pipeline import (
-    PipelineResult,
-    StageError,
-    bench,
-    median_wall_ms,
-    rows_to_csv,
-    run_pipeline_full,
-)
+from .pipeline import PipelineResult, StageError, run_pipeline_full
 from .render import render_json, render_svg

@@ -2,7 +2,12 @@
 
 ``layout`` reads the edge list and the optional path list, passes the graph
 and the path text to the pipeline, and writes what its flags ask for; ``gen``
-and ``bench`` generate their graphs.
+writes one generated graph. ``bench`` draws a generated graph for each size
+and seed, in the order given, and writes one CSV row per graph: its id, n,
+m, crossings, bends, width, height, area and ``PipelineResult.draw_ms`` in
+milliseconds, rounded to three places. The median of those times per size
+follows, sorted by size, with repeated sizes pooled. The rows go to
+``--out`` if given, else to stdout before the medians.
 
 Exit codes: 0 on success, 2 on input errors (bad flags, bad or non-UTF-8
 files, invalid decompositions, unwritable outputs), 3 on internal errors: a
@@ -15,20 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from statistics import median
 
 from .decomposition import DecompositionError
 from .generator import generate_random_dag
 from .graph import GraphError, serialize_graph
 from .metrics import count_vertex_touches
-from .pipeline import (
-    StageError,
-    bench,
-    median_wall_ms,
-    read_graph,
-    rows_to_csv,
-    run_pipeline_full,
-    run_stage,
-)
+from .pipeline import StageError, read_graph, run_pipeline_full, run_stage
 from .render import metrics_block, render_json, render_svg
 
 # causes that are the input's fault, not the program's: exit 2
@@ -129,9 +127,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = bench(args.sizes, args.deg, args.seeds)
-    csv_text = rows_to_csv(rows)
-    text = "".join(f"median n={n}: {ms:.3f} ms\n" for n, ms in median_wall_ms(rows).items())
+    # nothing is written until the whole suite has run, so a failed graph
+    # leaves no partial CSV
+    lines = ["graph_id,n,m,crossings,bends,width,height,area,wall_ms\n"]
+    walls: dict[int, list[float]] = {}
+    for n in args.sizes:
+        for s in range(1, args.seeds + 1):
+            g = run_stage("generate", generate_random_dag, n, args.deg, s)
+            result = run_pipeline_full(g)
+            metrics = result.metrics
+            wall_ms = round(result.draw_ms, 3)
+            walls.setdefault(n, []).append(wall_ms)
+            lines.append(
+                f"n{n}-d{args.deg}-s{s},{n},{result.graph.edge_count},"
+                f"{metrics.crossings},{metrics.bends},{metrics.width},{metrics.height},"
+                f"{metrics.area},{wall_ms}\n"
+            )
+    csv_text = "".join(lines)
+    text = "".join(f"median n={n}: {median(ms):.3f} ms\n" for n, ms in sorted(walls.items()))
     if args.out:
         run_stage("write", Path(args.out).write_text, csv_text, encoding="utf-8")
     else:

@@ -11,26 +11,22 @@ the DAG, so the path cover and the drawing reuse them: ``draw`` compacts
 the rows visiting the vertices in rank order, and with compaction off puts
 each vertex on the row of its rank. Metrics are computed only when
 ``PipelineResult.metrics`` is first read. Any stage failure, a failed
-self-check included, is re-raised with the stage name. The
-wall-clock window that the benchmark reports covers cycle removal, the
-topological sort, and the drawing stages; reading and parsing, the
-path-cover computation (part of the input in this framework), metrics, and
-file emission stay outside the clock. ``bench`` runs the pipeline over a
-generated suite and keeps one timed row per graph; medians over seeds damp
-scheduler noise.
+self-check included, is re-raised with the stage name. The wall-clock
+window ``PipelineResult.draw_ms``, which ``pathdraw bench`` reports, covers
+cycle removal, the topological sort, and the drawing stages; reading and
+parsing, the path-cover computation (part of the input in this framework),
+metrics, and file emission stay outside the clock.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from statistics import median
 
 from .decomposition import min_path_cover, parse_decomposition
 from .drawing import Drawing, draw
-from .generator import generate_random_dag
 from .graph import DiGraph, parse_graph, remove_cycles, topo_sort
 from .layout import MetricsReport, assert_properties
 from .metrics import measure
@@ -111,53 +107,3 @@ def run_pipeline_full(
 
     return PipelineResult(drawing=drawing, graph=dag, draw_ms=timed * 1000.0)
 
-
-@dataclass(frozen=True)
-class BenchRow:
-    graph_id: str
-    n: int
-    m: int
-    crossings: int
-    bends: int
-    width: int
-    height: int
-    area: int
-    wall_ms: float
-
-
-def bench(sizes, degree: float, seeds: int) -> list[BenchRow]:
-    """Run the pipeline over a generated suite; rows follow suite order."""
-    rows: list[BenchRow] = []
-    for n in sizes:
-        for s in range(1, seeds + 1):
-            g = run_stage("generate", generate_random_dag, n, degree, s)
-            result = run_pipeline_full(g)
-            rows.append(
-                BenchRow(
-                    graph_id=f"n{n}-d{degree}-s{s}",
-                    n=n,
-                    m=result.graph.edge_count,
-                    crossings=result.metrics.crossings,
-                    bends=result.metrics.bends,
-                    width=result.metrics.width,
-                    height=result.metrics.height,
-                    area=result.metrics.area,
-                    wall_ms=round(result.draw_ms, 3),
-                )
-            )
-    return rows
-
-
-def median_wall_ms(rows: list[BenchRow]) -> dict[int, float]:
-    """Median drawing time per graph size."""
-    by_n: dict[int, list[float]] = {}
-    for row in rows:
-        by_n.setdefault(row.n, []).append(row.wall_ms)
-    return {n: median(times) for n, times in sorted(by_n.items())}
-
-
-def rows_to_csv(rows: list[BenchRow]) -> str:
-    """CSV text: a header of ``BenchRow``'s field names, then one line per row."""
-    lines = [",".join(f.name for f in fields(BenchRow))]
-    lines.extend(",".join(map(str, astuple(r))) for r in rows)
-    return "\n".join(lines) + "\n"

@@ -233,19 +233,19 @@ def _lines_run(fn, *args) -> int:
     return count
 
 
-def _check_line_growth(criterion, make, families, what) -> None:
-    """Gate ``_lines_run(*make(dag))`` on each named DAG family at n =
-    1000..8000, seed 1: a linear stage executes about twice the lines per
-    doubling, so no step may exceed 2.2."""
-    sizes = (1000, 2000, 4000, 8000)
+def _check_line_growth(criterion, make, families, sizes, bound, what) -> None:
+    """Gate ``_lines_run(*make(inputs))`` on each named family, whose
+    inputs are built at each of the doubling ``sizes`` with seed 1: no step
+    may exceed ``bound``. A linear stage executes about twice the lines per
+    doubling. The counts do not vary, so each input is counted once."""
     trends = []
-    for family, dag in families:
-        counts = [_lines_run(*make(dag(n, 1))) for n in sizes]
+    for family, build in families:
+        counts = [_lines_run(*make(build(n, 1))) for n in sizes]
         ratios = [counts[i + 1] / counts[i] for i in range(len(counts) - 1)]
-        assert all(r <= 2.2 for r in ratios), f"{family}: lines {counts}, steps {ratios}"
+        assert all(r <= bound for r in ratios), f"{family}: lines {counts}, steps {ratios}"
         pretty = ", ".join(f"{r:.2f}" for r in ratios)
         trends.append(f"{family} {counts[0]:,} -> {counts[-1]:,} lines (steps [{pretty}])")
-    _report(criterion, f"{what}: {'; '.join(trends)} on n=1000..8000")
+    _report(criterion, f"{what}: {'; '.join(trends)} on sizes {sizes[0]}..{sizes[-1]}")
 
 
 def test_criterion_06_scaling_trend():
@@ -371,16 +371,18 @@ def _check_growth(criterion, make, bound, what) -> None:
     _report(criterion, f"{what}: {'; '.join(trends)} on n=1000..8000 ({elapsed:.1f}s)")
 
 
+def _cover_args(dag):
+    # the ranks are sorted first, so only the matching and the path walk count
+    topo_sort(dag)
+    return min_path_cover, dag
+
+
 def test_criterion_14_path_cover_scaling_trend():
     # Hopcroft-Karp runs in O(m sqrt(n)), 2.83 per doubling at m ~ n; the
     # cover must grow by at most 3.0 per doubling on the uniform DAGs and on
     # the cyclic digraphs after cycle removal. The ranks are sorted before
     # the clock starts, so only the matching and the path walk are timed.
-    def make(dag):
-        topo_sort(dag)
-        return min_path_cover, dag
-
-    _check_growth(14, make, 3.0, "min_path_cover")
+    _check_growth(14, _cover_args, 3.0, "min_path_cover")
 
 
 def test_criterion_15_svg_scaling_trend():
@@ -393,19 +395,49 @@ def test_criterion_15_svg_scaling_trend():
     _check_growth(15, make, 2.5, "render_svg")
 
 
+LINE_SIZES = (1000, 2000, 4000, 8000)
+
+
 def _draw_args(dag):
     # the cover sorts the DAG first, so the count is draw's own
     return draw, dag, min_path_cover(dag)
 
 
+def _draw_on_paths_args(graph_and_paths):
+    # sorted first, as the cover does in _draw_args, so the count is draw's own
+    g, paths = graph_and_paths
+    topo_sort(g)
+    return draw, g, paths
+
+
 def test_criterion_06_line_growth():
     # criterion 06's family, counted in executed lines instead of seconds
-    _check_line_growth(6, _draw_args, [("uniform", _uniform_dag)], "draw")
+    _check_line_growth(6, _draw_args, [("uniform", _uniform_dag)], LINE_SIZES, 2.2, "draw")
+
+
+def test_criterion_11_line_growth():
+    # criterion 11's chains, counted in executed lines instead of seconds
+    family = [("chains", lambda length, seed: chains_dag(4, length, seed))]
+    _check_line_growth(11, _draw_on_paths_args, family, (250, 500, 1000, 2000), 2.2, "draw")
+
+
+def test_criterion_12_line_growth():
+    # criterion 12's many-lane path, counted in executed lines instead of
+    # seconds; a lane-by-lane packing scan grows past 3 per doubling here
+    family = [("many-lane", lambda n, _: many_lane_dag(n))]
+    _check_line_growth(12, _draw_on_paths_args, family, (500, 1000, 2000, 4000), 2.2, "draw")
 
 
 def test_criterion_13_line_growth():
     # criterion 13's family, counted in executed lines instead of seconds
-    _check_line_growth(13, _draw_args, [("cyclic", _cyclic_dag)], "draw")
+    _check_line_growth(13, _draw_args, [("cyclic", _cyclic_dag)], LINE_SIZES, 2.2, "draw")
+
+
+def test_criterion_14_line_growth():
+    # criterion 14's two families, counted in executed lines instead of
+    # seconds, at the bound of O(m sqrt(n)): 2.83 per doubling at m ~ n
+    families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
+    _check_line_growth(14, _cover_args, families, LINE_SIZES, 2.83, "min_path_cover")
 
 
 def test_criterion_15_line_growth():
@@ -414,7 +446,7 @@ def test_criterion_15_line_growth():
         return render_svg, draw(dag, min_path_cover(dag)).layout
 
     families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
-    _check_line_growth(15, make, families, "render_svg")
+    _check_line_growth(15, make, families, LINE_SIZES, 2.2, "render_svg")
 
 
 def test_criterion_07_hiding_transitive_preserves_positions():

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
 import math
 import re
 import sys
 from pathlib import Path
 from statistics import median
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -21,21 +21,19 @@ from pathdraw import (
     InvariantError,
     PathDecomposition,
     StageError,
-    bench,
     draw,
     generate_random_dag,
     measure,
-    median_wall_ms,
     min_path_cover,
     parse_graph,
     render_json,
     render_svg,
-    rows_to_csv,
     run_pipeline_full,
     topo_sort,
 )
 from pathdraw.cli import main
 from pathdraw.graph import serialize_graph
+from pathdraw.layout import MetricsReport
 from pathdraw.render import SVG_PITCH
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -633,62 +631,74 @@ class TestCli:
 
 
 class TestBench:
-    def test_row_count_and_order(self):
-        rows = bench([20, 50, 100], 1.6, seeds=2)
-        assert len(rows) == 6
-        assert [r.n for r in rows] == [20, 20, 50, 50, 100, 100]
-        for r in rows:
-            assert r.m == round(r.n * 1.6)
-            assert r.wall_ms >= 0
-            assert r.area == r.width * r.height
+    HEADER = "graph_id,n,m,crossings,bends,width,height,area,wall_ms"
 
-    def test_empty_suite(self):
-        assert bench([], 1.6, seeds=3) == []
+    def rows(self, capsys, argv):
+        assert main(["bench", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == self.HEADER
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("median ")]
+        medians = lines[1 + len(rows) :]
+        return rows, medians
 
-    def test_csv_fields_in_order(self):
-        rows = bench([10], 1.6, seeds=1)
-        text = rows_to_csv(rows)
-        header, line = text.splitlines()
-        assert header.split(",") == [
-            "graph_id",
-            "n",
-            "m",
-            "crossings",
-            "bends",
-            "width",
-            "height",
-            "area",
-            "wall_ms",
+    def test_row_count_and_order(self, capsys):
+        # unsorted and repeated sizes keep the order given
+        rows, _ = self.rows(capsys, ["--sizes", "50,20,20", "--deg", "1.6", "--seeds", "2"])
+        assert [row[0] for row in rows] == [
+            "n50-d1.6-s1", "n50-d1.6-s2",
+            "n20-d1.6-s1", "n20-d1.6-s2",
+            "n20-d1.6-s1", "n20-d1.6-s2",
         ]
-        assert line.startswith("n10-d1.6-s1,10,16,")
+        for graph_id, n, m, crossings, bends, width, height, area, wall_ms in rows:
+            assert int(m) == round(int(n) * 1.6)
+            assert int(area) == int(width) * int(height)
+            assert float(wall_ms) >= 0
+        # the same graph gives the same drawing wherever it comes in the suite
+        assert [row[:8] for row in rows[2:4]] == [row[:8] for row in rows[4:]]
 
-    def test_csv_text_is_pinned(self):
-        # two fixed rows built from a real one, so only the CSV writer is pinned
-        row = bench([10], 1.6, seeds=1)[0]
-        rows = [
-            dataclasses.replace(
-                row, graph_id="a", n=3, m=4, crossings=5, bends=6,
-                width=7, height=8, area=56, wall_ms=2.0,
-            ),
-            dataclasses.replace(
-                row, graph_id="n10-d1.6-s1", n=10, m=16, crossings=0, bends=9,
-                width=4, height=6, area=24, wall_ms=0.125,
-            ),
-        ]
-        assert rows_to_csv(rows) == (
+    def test_empty_suite(self, capsys):
+        assert self.rows(capsys, ["--sizes", "", "--seeds", "3"]) == ([], [])
+
+    def test_csv_fields_in_order(self, capsys):
+        rows, _ = self.rows(capsys, ["--sizes", "10", "--deg", "1.6", "--seeds", "1"])
+        assert len(rows) == 1
+        assert ",".join(rows[0]).startswith("n10-d1.6-s1,10,16,")
+
+    def test_csv_text_is_pinned(self, capsys, monkeypatch):
+        # fixed results in place of the pipeline's, so only the writer is pinned
+        results = iter(
+            [
+                SimpleNamespace(
+                    graph=SimpleNamespace(edge_count=4),
+                    metrics=MetricsReport(crossings=5, bends=6, width=7, height=8, area=56),
+                    draw_ms=2.0,
+                ),
+                SimpleNamespace(
+                    graph=SimpleNamespace(edge_count=16),
+                    metrics=MetricsReport(crossings=0, bends=9, width=4, height=6, area=24),
+                    draw_ms=0.12504,
+                ),
+            ]
+        )
+        monkeypatch.setattr(pathdraw.cli, "run_pipeline_full", lambda g: next(results))
+        assert main(["bench", "--sizes", "3,10", "--deg", "1.6", "--seeds", "1"]) == 0
+        assert capsys.readouterr().out == (
             "graph_id,n,m,crossings,bends,width,height,area,wall_ms\n"
-            "a,3,4,5,6,7,8,56,2.0\n"
+            "n3-d1.6-s1,3,4,5,6,7,8,56,2.0\n"
             "n10-d1.6-s1,10,16,0,9,4,6,24,0.125\n"
+            "median n=3: 2.000 ms\n"
+            "median n=10: 0.125 ms\n"
         )
 
-    def test_bench_is_a_function_not_a_submodule(self):
-        assert callable(pathdraw.bench)
-        assert importlib.util.find_spec("pathdraw.bench") is None
-
-    def test_median_aggregation(self):
-        rows = bench([10, 20], 1.6, seeds=3)
-        medians = median_wall_ms(rows)
-        assert set(medians) == {10, 20}
+    def test_median_aggregation(self, capsys):
+        # medians come sorted by size, each over every row of that size
+        rows, medians = self.rows(capsys, ["--sizes", "20,10,20", "--seeds", "3"])
+        walls = {n: [float(row[-1]) for row in rows if row[1] == n] for n in ("10", "20")}
+        assert [len(walls["10"]), len(walls["20"])] == [3, 6]
+        assert medians == [
+            f"median n=10: {median(walls['10']):.3f} ms",
+            f"median n=20: {median(walls['20']):.3f} ms",
+        ]
 
 
 class TestReadme:
@@ -700,3 +710,22 @@ class TestReadme:
         exec(compile(code, str(README), "exec"), {})
         assert (tmp_path / "drawing.svg").read_text().startswith("<?xml")
         assert "crossings" in capsys.readouterr().out
+
+    def test_public_names_are_pinned_and_listed(self):
+        # a change to the package's surface shows up as an edit of this set
+        public = {
+            name
+            for name, value in vars(pathdraw).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert public == {
+            "DecompositionError", "DiGraph", "GraphError", "InvariantError",
+            "PathDecomposition", "PipelineResult", "StageError",
+            "classify_edges", "count_bends", "draw", "generate_random_dag",
+            "measure", "min_path_cover", "parse_decomposition", "parse_graph",
+            "remove_cycles", "render_json", "render_svg", "run_pipeline_full",
+            "topo_sort", "validate_decomposition",
+        }
+        text = README.read_text(encoding="utf-8")
+        listed = text[text.index("top-level names") : text.index("Everything else")]
+        assert [name for name in sorted(public) if not re.search(rf"`{name}[`(]", listed)] == []
