@@ -42,6 +42,13 @@ def _sizes(text: str) -> list[int]:
         ) from None
 
 
+def _seed_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathdraw",
@@ -80,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sizes", type=_sizes, default="20,50,100", help="comma-separated vertex counts"
     )
     p_bench.add_argument("--deg", type=float, default=1.6, help="edges per node")
-    p_bench.add_argument("--seeds", type=int, default=2, help="seeds per size")
+    p_bench.add_argument("--seeds", type=_seed_count, default=2, help="seeds per size, at least 1")
     p_bench.add_argument("--out", metavar="CSV", help="write rows as CSV")
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -3,8 +3,10 @@
 ``avg_degree`` means edges per node: a graph gets m = round(n * avg_degree)
 edges (capped at the n-choose-2 maximum). A hidden random vertex
 permutation fixes a topological order and edges are sampled uniformly,
-without replacement, among the forward pairs of that order. Identical
-(n, avg_degree, seed) always yields an identical edge list.
+without replacement, among the forward pairs of that order: one
+``random.sample`` draws m indices into the pairs listed row by row, and
+each index is decoded into its pair. Identical (n, avg_degree, seed)
+always yields an identical edge list.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 import random
 
 from .graph import DiGraph, GraphError
-
-_ENUMERATE_LIMIT = 200_000
 
 
 def generate_random_dag(n: int, avg_degree: float, seed: int) -> DiGraph:
@@ -28,18 +28,10 @@ def generate_random_dag(n: int, avg_degree: float, seed: int) -> DiGraph:
     max_edges = n * (n - 1) // 2
     # n * avg_degree may overflow to inf; capping first keeps round() finite
     m = round(min(n * avg_degree, max_edges))
-    if max_edges <= _ENUMERATE_LIMIT or 3 * m >= max_edges:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen = rng.sample(pairs, m)
-    else:
-        # sparse case: rejection sampling terminates fast
-        chosen = set()
-        while len(chosen) < m:
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i == j:
-                continue
-            if i > j:
-                i, j = j, i
-            chosen.add((i, j))
-    return DiGraph.build(n, ((perm[i], perm[j]) for i, j in chosen))
+    edges = []
+    # position k of the row-by-row listing is index r = max_edges - 1 - k,
+    # counted back from the last pair; the last t rows hold t(t + 1)/2 pairs
+    for r in rng.sample(range(max_edges - 1, -1, -1), m):
+        t = (math.isqrt(8 * r + 1) + 1) // 2
+        edges.append((perm[n - 1 - t], perm[n - 1 - r + t * (t - 1) // 2]))
+    return DiGraph.build(n, edges)

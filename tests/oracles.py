@@ -666,6 +666,35 @@ def render_json_reference(
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# generate_random_dag before it drew pair indices: it listed every forward
+# pair while there were at most this many, or while m was at least a third
+# of them, and drew the rest by rejection
+GENERATOR_ENUMERATE_LIMIT = 200_000
+
+
+def generate_random_dag_reference(n: int, avg_degree: float, seed: int) -> DiGraph:
+    """The two-path generator: ``rng.sample`` on the listed pairs, else rejection."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    max_edges = n * (n - 1) // 2
+    m = round(min(n * avg_degree, max_edges))
+    if max_edges <= GENERATOR_ENUMERATE_LIMIT or 3 * m >= max_edges:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = rng.sample(pairs, m)
+    else:
+        chosen = set()
+        while len(chosen) < m:
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            if i == j:
+                continue
+            if i > j:
+                i, j = j, i
+            chosen.add((i, j))
+    return DiGraph.build(n, ((perm[i], perm[j]) for i, j in chosen))
+
+
 def uniform_dag_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     """m distinct edges u < v of a seeded uniform random DAG, sorted."""
     rng = random.Random(seed)

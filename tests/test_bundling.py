@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+
+import pathdraw.drawing
 
 from oracles import (
     chains_dag,
@@ -24,6 +27,7 @@ from pathdraw import (
     min_path_cover,
 )
 from pathdraw.bundling import (
+    _EXHAUSTIVE_LIMIT,
     BundleInterval,
     LanePacking,
     lane_pair_costs,
@@ -217,6 +221,34 @@ class TestReorder:
         assert sorted(id(iv) for lane in reordered.lanes for iv in lane) == sorted(
             id(iv) for lane in packing.lanes for iv in lane
         )
+
+
+    @pytest.mark.parametrize(
+        "k, length, seed", [(20, 200, 1), (20, 200, 2), (20, 200, 3), (4, 40, 0)]
+    )
+    def test_never_worse_on_the_stacks_draw_reorders(self, k, length, seed, monkeypatch):
+        # draw's stacks for 20 chains of 200 hold 7-9 lanes, more than the
+        # random stacks above and past the exhaustive search; one 7-lane
+        # stack of chains_dag(4, 40, 0) is left with more crossings by an
+        # order sorted on pairwise costs
+        calls = []
+
+        def recorded(packing):
+            reordered = reorder_lanes(packing)
+            calls.append((packing.lanes, reordered.lanes))
+            return reordered
+
+        monkeypatch.setattr(pathdraw.drawing, "reorder_lanes", recorded)
+        draw(*chains_dag(k, length, seed))
+        assert len(calls) == k
+        assert max(len(before) for before, _ in calls) > _EXHAUSTIVE_LIMIT
+
+        def total(lanes):
+            cost = lane_pair_costs(lanes)
+            return sum(cost[i][j] for i, j in combinations(range(len(lanes)), 2))
+
+        for before, after in calls:
+            assert total(after) <= total(before)
 
 
 def _random_packing(rng: random.Random) -> LanePacking:

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-import pathdraw.generator
 import pathdraw.graph
-from oracles import longest_ending_at_bruteforce, longest_path_ending_at, random_digraph
+from oracles import (
+    GENERATOR_ENUMERATE_LIMIT,
+    generate_random_dag_reference,
+    longest_ending_at_bruteforce,
+    longest_path_ending_at,
+    random_digraph,
+)
 from pathdraw import (
     DiGraph,
     GraphError,
@@ -116,14 +121,28 @@ class TestCanonicalEdges:
 
 
 def test_sparse_generator_samples_distinct_forward_edges():
-    # 2000 vertices have more pairs than the generator enumerates, and 3200
-    # edges are under a third of them, so it samples pairs by rejection
-    n = 2000
-    assert n * (n - 1) // 2 > pathdraw.generator._ENUMERATE_LIMIT
-    g = generate_random_dag(n, 1.6, seed=4)
-    assert g.edge_count == round(n * 1.6) == len(set(g.edges))
-    assert len(topo_sort(g)) == n
-    assert generate_random_dag(n, 1.6, seed=4).edges == g.edges
+    # 3200 and 12800 edges among about 2M and 32M pairs: the decoded
+    # indices run far past those of the reference grid below
+    for n in (2000, 8000):
+        g = generate_random_dag(n, 1.6, seed=4)
+        assert g.edge_count == round(n * 1.6) == len(set(g.edges))
+        assert len(topo_sort(g)) == n
+        assert generate_random_dag(n, 1.6, seed=4).edges == g.edges
+
+
+@pytest.mark.parametrize("deg", [0, 0.5, 1.6, 2.5, 10, 1e308])
+def test_generator_matches_the_listing_reference(deg):
+    # random.sample picks positions from the population's length and the
+    # RNG state alone, so sampling indices draws the pairs that sampling
+    # the listed pairs drew, wherever the old generator listed them
+    for n in [*range(1, 80), 100, 200, 400, 633]:
+        max_edges = n * (n - 1) // 2
+        m = round(min(n * deg, max_edges))
+        if max_edges > GENERATOR_ENUMERATE_LIMIT and 3 * m < max_edges:
+            continue
+        for seed in range(4):
+            expected = generate_random_dag_reference(n, deg, seed).edges
+            assert generate_random_dag(n, deg, seed).edges == expected, (n, seed)
 
 
 def test_graph_cannot_be_built_without_adjacency():

@@ -659,6 +659,15 @@ class TestBench:
     def test_empty_suite(self, capsys):
         assert self.rows(capsys, ["--sizes", "", "--seeds", "3"]) == ([], [])
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seed_count_below_one_is_a_usage_error(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "5", "--seeds", seeds])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seeds" in err
+
     def test_csv_fields_in_order(self, capsys):
         rows, _ = self.rows(capsys, ["--sizes", "10", "--deg", "1.6", "--seeds", "1"])
         assert len(rows) == 1
