@@ -197,23 +197,23 @@ _EXHAUSTIVE_LIMIT = 6
 def reorder_lanes(packing: LanePacking) -> LanePacking:
     """Permute lanes to reduce trunk/connector crossings.
 
-    Exhaustive over all permutations for small stacks, adjacent-swap hill
-    climbing otherwise. The result never has more crossings than the input,
-    and ties keep the incumbent order. Swapping adjacent lanes a and b
-    changes only their own pair's term, so a swap is taken exactly when
-    ``cost(b, a) < cost(a, b)``. The climb ends: each accepted swap strictly
-    lowers the order's cost, a non-negative integer, so S swaps are at most
-    the starting cost.
+    Stacks of up to ``_EXHAUSTIVE_LIMIT`` lanes try every order and keep
+    the first of least cost, the identity when it ties. Larger stacks take
+    the lanes in packing order and insert each into the order built so far.
+    Swapping adjacent lanes a and b changes only their own pair's term, so
+    lane i goes nearer than lane j when ``cost(i, j) < cost(j, i)``, and a
+    tie places i after j. A lane is first compared with the far end of the
+    order, then bisected into the rest; both lanes it lands between are
+    ones it was compared with, so in the result no adjacent swap lowers the
+    crossings. A packing order that already is such a local minimum comes
+    back unchanged, each lane staying behind the far end. The rule is not
+    transitive, so the order is no global optimum and may cross more than
+    the packing order did.
 
-    The climb reads only the costs of lanes that are adjacent at some point,
-    so it computes each pair's cost on first use: the first pass meets
-    L - 1 pairs and each swap brings at most two new neighbours together,
-    hence at most L - 1 + 2S pairs. With M member spans that is O(M log M)
-    to sort the spans, then one bisect pass per computed pair. S can be
-    quadratic: lanes holding nested spans, packed widest first, cost one
-    crossing per pair, and the climb reverses them in L(L - 1)/2 swaps.
-    Each swap sheds at least one crossing, so the pairs computed never
-    exceed L - 1 plus twice the crossings of the input order.
+    With M member spans that costs O(M log M) to sort the spans, then at
+    most ceil(log2 L) + 1 comparisons per lane, each two bisect passes
+    over one lane pair, and no pair is compared twice: O(L log L) pair
+    costs. The inserts shift at most L list slots each, in one memmove.
     """
     lanes = packing.lanes
     count = len(lanes)
@@ -228,21 +228,20 @@ def reorder_lanes(packing: LanePacking) -> LanePacking:
         )
         return LanePacking(tuple(lanes[i] for i in best))
     spans, ends = _sorted_spans(lanes)
-    known: dict[tuple[int, int], int] = {}
 
-    def cost(i: int, j: int) -> int:
-        c = known.get((i, j))
-        if c is None:
-            c = known[i, j] = _crossings(spans[i], ends[j])
-        return c
+    def nearer(i: int, j: int) -> bool:
+        return _crossings(spans[i], ends[j]) < _crossings(spans[j], ends[i])
 
-    order = list(range(count))
-    improved = True
-    while improved:
-        improved = False
-        for i in range(count - 1):
-            a, b = order[i], order[i + 1]
-            if cost(b, a) < cost(a, b):
-                order[i], order[i + 1] = b, a
-                improved = True
+    order = [0]
+    for i in range(1, count):
+        lo, hi = 0, len(order) - 1
+        if not nearer(i, order[hi]):
+            lo = hi = hi + 1  # the far end first: a lane not nearer goes last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if nearer(i, order[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        order.insert(lo, i)
     return LanePacking(tuple(lanes[i] for i in order))

@@ -299,13 +299,21 @@ def stack_crossings_bruteforce(lanes) -> int:
     )
 
 
+def _order_cost(cost, order) -> int:
+    """Crossings of a lane order: every lane against each lane farther out."""
+    count = len(order)
+    return sum(cost[order[i]][order[j]] for i in range(count) for j in range(i + 1, count))
+
+
 def reorder_lanes_bruteforce(lanes) -> tuple[list[list[int]], tuple[int, ...]]:
     """All-pairs lane-pair cost matrix and the lane order chosen from it.
 
     ``cost[i][j]`` sums the bundle-pair crossings when lane i sits nearer
-    than lane j. Stacks of up to 6 lanes try every permutation; larger ones
-    hill-climb by adjacent swaps, re-scoring the whole order each time.
-    Ties keep the incumbent.
+    than lane j. Stacks of up to 6 lanes try every permutation, re-scoring
+    the whole order each time, and ties keep the incumbent. Larger ones
+    insert the lanes in packing order into ``bisect.insort``, lane i ranking
+    below lane j when ``cost[i][j] < cost[j][i]``, after one probe of the
+    far end: a lane that does not rank below it goes last.
     """
     count = len(lanes)
     cost = [
@@ -317,36 +325,28 @@ def reorder_lanes_bruteforce(lanes) -> tuple[list[list[int]], tuple[int, ...]]:
         ]
         for i in range(count)
     ]
-
-    def cost_of(order) -> int:
-        return sum(
-            cost[order[i]][order[j]] for i in range(count) for j in range(i + 1, count)
-        )
-
     best = tuple(range(count))
     if count <= 1:
         return cost, best
     if count <= 6:
-        best_cost = cost_of(best)
+        best_cost = _order_cost(cost, best)
         for perm in permutations(range(count)):
-            c = cost_of(perm)
+            c = _order_cost(cost, perm)
             if c < best_cost:
                 best, best_cost = perm, c
         return cost, best
-    order = list(best)
-    current = cost_of(order)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(count - 1):
-            order[i], order[i + 1] = order[i + 1], order[i]
-            swapped = cost_of(order)
-            if swapped < current:
-                current = swapped
-                improved = True
-            else:
-                order[i], order[i + 1] = order[i + 1], order[i]
-    return cost, tuple(order)
+
+    class Lane(int):
+        def __lt__(self, other):
+            return cost[self][other] < cost[other][self]
+
+    order = [Lane(0)]
+    for i in map(Lane, range(1, count)):
+        if i < order[-1]:
+            insort(order, i, 0, len(order) - 1)
+        else:
+            order.append(i)
+    return cost, tuple(map(int, order))
 
 
 def chains_dag(k: int, length: int, seed: int) -> tuple[DiGraph, PathDecomposition]:
@@ -388,6 +388,19 @@ def many_lane_dag(n: int) -> tuple[DiGraph, PathDecomposition]:
     edges = [(i, i + 1) for i in range(n - 1)]
     if half >= 2:
         edges += [(i, i + half) for i in range(n - half)]
+    return DiGraph.build(n, sorted(edges)), PathDecomposition((tuple(range(n)),))
+
+
+def nested_span_dag(n: int) -> tuple[DiGraph, PathDecomposition]:
+    """One path 0..n-1 with skip edges i -> n-1-i for i < n/2 - 1: nested lanes.
+
+    Every skip edge is transitive and bundled alone, and each span holds
+    all the later ones, so the path's stack packs them widest first, one
+    lane each. Every lane pair costs one crossing in that order and none
+    reversed.
+    """
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, n - 1 - i) for i in range(n // 2 - 1)]
     return DiGraph.build(n, sorted(edges)), PathDecomposition((tuple(range(n)),))
 
 
@@ -742,6 +755,33 @@ def pack_intervals_first_fit(intervals) -> LanePacking:
             lanes.append([iv])
             last_finish.append(iv.finish_row)
     return LanePacking(tuple(map(tuple, lanes)))
+
+
+def reorder_lanes_climb_reference(lanes) -> tuple[int, ...]:
+    """The lane order before large stacks were ordered by binary insertion.
+
+    Stacks of up to 6 lanes take the exhaustive order of
+    ``reorder_lanes_bruteforce``. Larger ones hill-climb from the packing
+    order by adjacent swaps, re-scoring the whole order each time, until a
+    pass takes none; ties keep the incumbent.
+    """
+    cost, order = reorder_lanes_bruteforce(lanes)
+    if len(lanes) <= 6:
+        return order
+    order = list(range(len(lanes)))
+    current = _order_cost(cost, order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(order) - 1):
+            order[i], order[i + 1] = order[i + 1], order[i]
+            swapped = _order_cost(cost, order)
+            if swapped < current:
+                current = swapped
+                improved = True
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return tuple(order)
 
 
 def transitive_bundles_reference(d: PathDecomposition, classification, rows):

@@ -26,6 +26,7 @@ from oracles import (
     many_lane_dag,
     max_overlap_depth,
     min_cover_bruteforce,
+    nested_span_dag,
     segment_count,
 )
 import pathdraw
@@ -320,6 +321,30 @@ def test_criterion_12_many_lane_scaling_trend():
     )
 
 
+def test_criterion_16_nested_span_scaling_trend():
+    # One path of n vertices with skip edges i -> n-1-i: each skip edge's
+    # span holds all the later ones, so one stack packs n/2 - 1 nested lanes
+    # widest first, and every lane pair costs one crossing until reversed.
+    # The same window as criterion 06 must grow by at most 3.0 per doubling
+    # of n and 3.5 per step; an adjacent-swap climb, L(L - 1)/2 swaps here,
+    # grows by 4.
+    sizes = (1000, 2000, 4000, 8000)
+    times, elapsed = _growth(
+        _timed_drawing_window, lambda n, _: nested_span_dag(n), sizes, (None,), 5
+    )
+    ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
+    per_doubling = (times[-1] / times[0]) ** (1 / (len(sizes) - 1))
+    assert per_doubling <= 3.0, f"trend {per_doubling:.2f} per doubling, steps {ratios}"
+    assert all(r <= 3.5 for r in ratios), f"a step grew superlinearly: {ratios}"
+    assert elapsed < 30.0
+    pretty = ", ".join(f"{r:.2f}" for r in ratios)
+    _report(
+        16,
+        f"growth {per_doubling:.2f}x per doubling (steps [{pretty}]) "
+        f"on one path of 1000..8000 with nested lanes ({elapsed:.1f}s)",
+    )
+
+
 def test_criterion_13_cyclic_scaling_trend():
     # The cyclic family: m = 2n edges with 2-cycles, so cycle removal flips
     # back edges and rebuilds the graph inside the timed window. The same
@@ -426,6 +451,14 @@ def test_criterion_12_line_growth():
     # seconds; a lane-by-lane packing scan grows past 3 per doubling here
     family = [("many-lane", lambda n, _: many_lane_dag(n))]
     _check_line_growth(12, _draw_on_paths_args, family, (500, 1000, 2000, 4000), 2.2, "draw")
+
+
+def test_criterion_16_line_growth():
+    # criterion 16's nested path, counted in executed lines instead of
+    # seconds; the reorder is O(L log L) in pair costs, hence 2.3, and an
+    # adjacent-swap climb grows by 4 here
+    family = [("nested", lambda n, _: nested_span_dag(n))]
+    _check_line_growth(16, _draw_on_paths_args, family, LINE_SIZES, 2.3, "draw")
 
 
 def test_criterion_13_line_growth():

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import ceil, log2
 
 import pytest
 
+import pathdraw.bundling
 import pathdraw.drawing
 
 from oracles import (
@@ -13,8 +15,10 @@ from oracles import (
     lane_pair_crossings_bruteforce,
     many_lane_dag,
     max_overlap_depth,
+    nested_span_dag,
     pack_intervals_first_fit,
     reorder_lanes_bruteforce,
+    reorder_lanes_climb_reference,
     stack_crossings_bruteforce,
     transitive_bundles_reference,
 )
@@ -303,7 +307,7 @@ class TestLanePairCostsAgainstOracle:
             packing = _random_packing(rng)
             sizes.add(packing.lane_count)
             _assert_reorder_matches_oracle(packing)
-        # both the exhaustive search and the hill climb were exercised
+        # both the exhaustive search and the binary insertion were exercised
         assert min(sizes) == 1 and max(sizes) >= 10
 
     def test_every_stack_of_a_chains_graph(self):
@@ -408,7 +412,7 @@ class TestBundlesAgainstReference:
         assert pack_intervals(got).lane_count == 30
 
 
-def _hill_climb_packing(rng: random.Random, lane_count: int) -> LanePacking:
+def _large_packing(rng: random.Random, lane_count: int) -> LanePacking:
     """``lane_count`` lanes of random bundles with spans over a few dozen rows."""
     rows = rng.randrange(8, 40)
     lanes = []
@@ -429,18 +433,17 @@ def _hill_climb_packing(rng: random.Random, lane_count: int) -> LanePacking:
     return LanePacking(tuple(lanes))
 
 
-class TestLazyClimbAgainstOracle:
+class TestBinaryInsertionAgainstOracle:
     @pytest.mark.parametrize("seed", range(12))
-    def test_hill_climb_stacks(self, seed):
+    def test_large_stacks(self, seed):
         rng = random.Random(seed)
         for lane_count in (7, 9, 13, 20, 40):
-            _assert_reorder_matches_oracle(_hill_climb_packing(rng, lane_count))
+            _assert_reorder_matches_oracle(_large_packing(rng, lane_count))
 
     @pytest.mark.parametrize("lane_count", [7, 12, 40])
-    def test_nested_stack_forces_quadratic_swaps(self, lane_count):
+    def test_nested_stack_is_reversed(self, lane_count):
         # nested spans packed widest first: every pair costs one crossing in
-        # the packed order and none reversed, so the climb undoes all
-        # L(L - 1)/2 inversions one adjacent swap at a time
+        # the packed order and none reversed, so each lane goes nearest
         intervals = [
             _iv(i, 2 * lane_count - i, anchor=i, members=((i, 100 + i),))
             for i in range(lane_count)
@@ -453,6 +456,115 @@ class TestLazyClimbAgainstOracle:
         assert reordered.lanes == packing.lanes[::-1]
         assert stack_crossings_bruteforce(reordered.lanes) == 0
         _assert_reorder_matches_oracle(packing)
+
+
+def _reordered_stacks(monkeypatch, g, d) -> list[tuple[tuple, tuple]]:
+    """(packed lanes, reordered lanes) of every stack ``draw(g, d)`` reorders."""
+    calls = []
+
+    def recorded(packing):
+        reordered = reorder_lanes(packing)
+        calls.append((packing.lanes, reordered.lanes))
+        return reordered
+
+    monkeypatch.setattr(pathdraw.drawing, "reorder_lanes", recorded)
+    draw(g, d)
+    monkeypatch.undo()
+    return calls
+
+
+def _order_total(lanes) -> int:
+    """``lane_pair_costs`` summed over the position pairs of a lane order."""
+    cost = lane_pair_costs(lanes)
+    return sum(cost[i][j] for i, j in combinations(range(len(lanes)), 2))
+
+
+def _adjacent_stable(lanes) -> bool:
+    """No swap of two adjacent lanes lowers the stack's crossings."""
+    for a, b in zip(lanes, lanes[1:]):
+        cost = lane_pair_costs((a, b))
+        if cost[1][0] < cost[0][1]:
+            return False
+    return True
+
+
+class TestReorderGuarantees:
+    def test_local_minimum_on_the_stacks_draw_reorders(self, monkeypatch):
+        graphs = [(20, 200, 1), (20, 200, 2), (20, 200, 3), (4, 40, 0)]
+        # stacks the insertion leaves with more crossings than packed
+        graphs += [(3, 25, 170), (3, 25, 174), (4, 40, 81)]
+        kept = 0
+        for args in graphs:
+            for before, after in _reordered_stacks(monkeypatch, *chains_dag(*args)):
+                assert _adjacent_stable(after), args
+                # a packing order that a hill climb would not leave stays
+                if len(before) > _EXHAUSTIVE_LIMIT and _adjacent_stable(before):
+                    assert after == before, args
+                    kept += 1
+        assert kept  # one 7-lane stack of chains_dag(3, 25, 174)
+
+    def test_a_stable_many_lane_stack_comes_back_unchanged(self, monkeypatch):
+        ((before, after),) = _reordered_stacks(monkeypatch, *many_lane_dag(2000))
+        assert len(before) == 1000 and _adjacent_stable(before)
+        assert after == before
+
+    def test_local_minimum_on_random_packings(self):
+        rng = random.Random(2022)
+        seen = 0
+        for _ in range(3000):
+            packing = _random_packing(rng)
+            if packing.lane_count > _EXHAUSTIVE_LIMIT:
+                assert _adjacent_stable(reorder_lanes(packing).lanes)
+                seen += 1
+        assert seen >= 100
+
+    @pytest.mark.parametrize(
+        "k, length, seed", [(20, 200, 1), (20, 200, 2), (20, 200, 3), (4, 40, 0)]
+    )
+    def test_no_more_crossings_than_the_climb(self, k, length, seed, monkeypatch):
+        insertion = climb = 0
+        for before, after in _reordered_stacks(monkeypatch, *chains_dag(k, length, seed)):
+            insertion += _order_total(after)
+            climb += _order_total(
+                tuple(before[i] for i in reorder_lanes_climb_reference(before))
+            )
+        assert insertion <= climb
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: nested_span_dag(2000), id="nested-2000"),
+            pytest.param(lambda: many_lane_dag(4000), id="many-lane-4000"),
+            pytest.param(lambda: chains_dag(20, 200, 1), id="chains-20-200-1"),
+        ],
+    )
+    def test_pair_cost_budget(self, graph, monkeypatch):
+        # each lane is compared with at most ceil(log2 L) + 1 placed lanes,
+        # two pair costs a comparison, and no lane pair is compared twice
+        counted: list[tuple[int, int]] = []
+        checked = 0
+
+        def counting(nearer_spans, farther):
+            counted.append((id(nearer_spans), id(farther)))
+            return crossings(nearer_spans, farther)
+
+        def recorded(packing):
+            nonlocal checked
+            counted.clear()
+            reordered = reorder_lanes(packing)
+            lanes = packing.lane_count
+            if lanes > _EXHAUSTIVE_LIMIT:
+                budget = 2 * lanes * (ceil(log2(lanes)) + 1)
+                assert len(counted) <= budget, f"{len(counted)} pair costs for {lanes} lanes"
+                assert len(set(counted)) == len(counted)
+                checked += 1
+            return reordered
+
+        crossings = pathdraw.bundling._crossings
+        monkeypatch.setattr(pathdraw.bundling, "_crossings", counting)
+        monkeypatch.setattr(pathdraw.drawing, "reorder_lanes", recorded)
+        draw(*graph())
+        assert checked
 
 
 _LANE = (_iv(0, 2, anchor=0), _iv(3, 4, anchor=1))

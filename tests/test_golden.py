@@ -93,14 +93,14 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "metrics": "e0b5eea94f122d7bacda92df1f2fbc6ba8d84aafb07a503041bc79940476b266",
     },
     ("chains-1", "default"): {
-        "svg": "05b1b451b93bff86b1a531b35cc2b75ef48396f45f2c9a4335fd1c6bbf527bc0",
-        "json": "d9f7824c1f7144cc08984405a15846e8118d6c250a24672ffbcba500d7bb11b7",
-        "metrics": "c66eedd89549dd93f3d0ea43e791b8bd6a92040f3e60b907fcdac7e2e2bbb379",
+        "svg": "bc9034fb62b46c6a3c5d3933666657cb5dd64f379b072738f0b37c71de24b981",
+        "json": "8b8947f0335ee226e90c273dedff65d0cb6140f62ca0fcbff936c073c1178bcc",
+        "metrics": "9b90bf4000e81cf63ed4d22a55adaf72d32a23eb484eb5a8f1995ce8baf3577b",
     },
     ("chains-1", "no-bundle-cross"): {
-        "svg": "3090379a9f3f011efba723dd23b0d0ba43e2b78d0142141433ef99054636c9d7",
-        "json": "be7ea8a631a46149544e1176a058e966dd86363679d64d27730b322552fb53fc",
-        "metrics": "6f71ec27d005d0c5920523b3c3f8c40261b860c8b564a350da77e4abd991f464",
+        "svg": "a57a324e4b18c46d08cb2723fbb5ffcb40c776e0130bf7aa5ac15dcffcc7de7f",
+        "json": "d3769547e8471548b92ae96c446b5cec941e0ebb25c34670f1292ca201fc1308",
+        "metrics": "f80e9cef16f5f4eb4681e26872da8a7e83bf369c42cdd8b4e79e992abaa568c4",
     },
     ("chains-1", "no-bundle-transitive"): {
         "svg": "cb0ed28b360a3410a22b177ad437c08d573d48786b9de1d58aa7869950c19add",
@@ -108,9 +108,9 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "metrics": "8858c4cf1ac731bd71427ff9fba8a581b1d3f7850d7182fe2566c1b033bab081",
     },
     ("chains-1", "no-compact"): {
-        "svg": "5e52f844cd44762d238bb2566d9f1d3ae9c2ebb6f57c02b4bccc863f69da5415",
-        "json": "34d677bfefc2605e05214c93621b7e9aa42d31ff11ce84f6fdcb7caaf5b5af9c",
-        "metrics": "fdaf87f8e9c09c53e54f37aaf45fefae9c1ea1004c592174b9d9556dd0aa51d8",
+        "svg": "6d94869138200e3061dbbc5edc71c6b5658631b4de3110294240947c302da23a",
+        "json": "26e5a969d237b0dc5448fe254af804288a4aab424ba5e0e29721132cdc9c86e1",
+        "metrics": "e99f7833d4b2cd17d350b4b7aca09a9b52b9ba1b0d8a897f241125e2e767f26f",
     },
     ("chains-1", "no-reorder"): {
         "svg": "4387dd5a18f4d06d01577d1094ee1d42fcc8a373221600aca15d475f3ecc2d80",
@@ -118,14 +118,14 @@ DIGESTS: dict[tuple[str, str], dict[str, str]] = {
         "metrics": "a5e7c9395b79e77979d28e1a4f6e82c1474e1c7c93c4bb1c08a10e3fd0758ef6",
     },
     ("chains-2", "default"): {
-        "svg": "e4b65f466983780d4bebb732c7e82c5311928653d99895c3d49a2b1653d39dc8",
-        "json": "3b17450e874a5106db46ffedf0a9830f4599a108a3c75f706df86c7d9ef42ab2",
-        "metrics": "34cef38393c314a64a76228f76b5c284d3f751e1f51d863263468c8aa3cb312c",
+        "svg": "9b4bb36b6208d492dd64759614e8cec6d3c5f9feceb32bcaf37eec57def03683",
+        "json": "5916483953414dbb027556f6c55a768df907cb88b00dd24bf7b6d61048998891",
+        "metrics": "65516011022e84a01ca55499a9182378095d8f07a265cb310bbe815f66783155",
     },
     ("chains-2", "no-bundle-cross"): {
-        "svg": "5627f1d077686b36dd8e6ed4e901ca1aa901de9c2116022aa023c34a1a9a3fd2",
-        "json": "68854e8505fa43b22761bc0896a9f6ad8f4d118a641653102193f7946798c91f",
-        "metrics": "803e5627281f44ab3b7451a4781f2ceaec56452539e8ed1ff0fb3ab5a151bc7b",
+        "svg": "cfa6a0b2b6cd10423c92573679408dbb4270a8d1ea2039a55bc7d52887c0bcc9",
+        "json": "8e96dc016c5c8dda53edd631f51610fec4aec857e22ddbfd588ebbd411b01905",
+        "metrics": "43e6a6ec0b49bf9e637e092ef88cce27590ebb878f75654fc1fd9d3ae50b16c3",
     },
     ("many-lane", "default"): {
         "svg": "882f78b2e3906222676a82db9b49a8c1b1da52134b4bcfd377ff73da5ff84afa",
