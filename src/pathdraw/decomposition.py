@@ -165,11 +165,25 @@ def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> list[int]:
     Left copy u is the out-side of vertex u, right copy v the in-side;
     one bipartite edge per graph edge. Augmenting paths are explored in
     ascending id order so the matching is deterministic.
+
+    The first phase is one greedy pass: each left vertex, in ascending id,
+    takes its first successor that is still free. That is the matching the
+    layered search gives in that phase. Every right vertex is free then,
+    so ``bfs`` puts every left vertex on layer 0, and ``augment`` skips a
+    matched successor, since its owner sits on layer 0 and not on layer 1:
+    it takes the first free successor or gives up. The pass needs no
+    breadth-first scan of every edge and no search frames.
     """
     INF = n + 1
     match_left = [-1] * n
     match_right = [-1] * n
     dist = [INF] * n
+    for u in range(n):
+        for v in adj[u]:
+            if match_right[v] == -1:
+                match_left[u] = v
+                match_right[v] = u
+                break
 
     def bfs() -> bool:
         queue = deque()

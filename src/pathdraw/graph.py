@@ -6,16 +6,19 @@ and safe to share. Every operation here is a pure function, except that
 
 A graph's edges are kept sorted by (u, v) and unique from the moment it is
 built, so graphs with the same edge set compare equal and no caller sorts
-them again. ``DiGraph.build`` checks every pair for range and self-loops in
-input order and reports the first such fault; only then does it report a
-repeat, naming the smallest repeated pair.
+them again. ``DiGraph.build`` checks every pair for integer ids, range and
+self-loops in input order and reports the first such fault; only then does
+it report a repeat, naming the smallest repeated pair.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappush, heappop
+from itertools import filterfalse
+from operator import eq
 
 
 class GraphError(Exception):
@@ -32,11 +35,19 @@ class DiGraph:
     @classmethod
     def build(cls, vertex_count: int, edges) -> "DiGraph":
         """Construct a graph from any iterable of (u, v) pairs, rejecting
-        out-of-range ids and self-loops first, then duplicate edge pairs."""
+        ids that are not ints, out-of-range ids and self-loops first, then
+        duplicate edge pairs.
+
+        An id must be of type ``int`` exactly: a ``bool`` or another int
+        subclass may print otherwise than its value, and then the text of
+        ``serialize_graph`` would not parse back to the same graph.
+        """
         if vertex_count < 0:
             raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
         pairs: list[tuple[int, int]] = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge ({u!r}, {v!r}): vertex ids must be integers")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
             if u == v:
@@ -93,6 +104,13 @@ def number_too_long(lineno: int, digits: int) -> str:
     )
 
 
+# A canonical document: the count line, then ``u v`` lines, joined by single
+# newlines, with an optional final newline. No number has more than 18
+# digits, which stays below every limit int() may have on decimal digits
+# (the lowest that sys.set_int_max_str_digits accepts is 640).
+_CANONICAL = re.compile(r"[0-9]{1,18}(?:\n[0-9]{1,18} [0-9]{1,18})*\n?")
+
+
 def parse_graph(text: str) -> DiGraph:
     """Parse an edge-list document.
 
@@ -100,9 +118,31 @@ def parse_graph(text: str) -> DiGraph:
     line is ``u v`` (ASCII decimal, single space). A line whose first
     non-blank character is ``#`` is a comment, and blank lines are ignored;
     a ``#`` after an edge is an error.
+
+    A document in the canonical form that ``serialize_graph`` writes is
+    tokenized in one pass: ``split`` and ``int`` take the numbers. Every
+    other document goes through the line loop, which reads the same count
+    and edges from a canonical document, since its count and edge lines are
+    exactly the lines that the loop keeps. Either way the edges are checked
+    by C-level passes, ``max`` for the range, ``map(eq, ...)`` for
+    self-loops and the sorted unique edges for repeats, and any fault is
+    handed to ``DiGraph.build`` on the same pairs in the same order, so its
+    message is the only wording.
     """
+    # a match that stops short of the end, unlike fullmatch, fails without
+    # backtracking over every line before the fault
+    canonical = _CANONICAL.match(text)
+    if canonical is None or canonical.end() != len(text):
+        return _parse_lines(text)
+    numbers = list(map(int, text.split()))
+    return _graph(numbers[0], numbers[1::2], numbers[2::2])
+
+
+def _parse_lines(text: str) -> DiGraph:
+    """Parse an edge-list document line by line; see ``parse_graph``."""
     vertex_count: int | None = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,13 +160,29 @@ def parse_graph(text: str) -> DiGraph:
         if not (u.isdigit() and v.isdigit() and line.isascii()):
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            edges.append((int(u), int(v)))
+            us.append(int(u))
+            vs.append(int(v))
         except ValueError:
             raise GraphError(number_too_long(lineno, max(len(u), len(v)))) from None
     if vertex_count is None:
         raise GraphError("empty document: missing vertex count")
+    return _graph(vertex_count, us, vs)
+
+
+def _graph(vertex_count: int, us: list[int], vs: list[int]) -> DiGraph:
+    """The graph with edges (us[i], vs[i]), from non-negative int ids.
+
+    On any fault ``DiGraph.build`` runs on the same pairs to name it, so the
+    checks here decide only whether a graph is built, never the message.
+    """
+    pairs = list(zip(us, vs))
+    in_range = max(us, default=-1) < vertex_count and max(vs, default=-1) < vertex_count
+    if in_range and not any(map(eq, us, vs)):
+        unique, succ, pred = _adjacency(vertex_count, pairs)
+        if len(unique) == len(pairs):
+            return DiGraph(vertex_count, unique, succ, pred)
     try:
-        return DiGraph.build(vertex_count, edges)
+        return DiGraph.build(vertex_count, pairs)
     except GraphError as exc:
         raise GraphError(f"bad edge list: {exc}") from exc
 
@@ -146,6 +202,13 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
     explicit stack of (vertex, successor iterator) frames, each resumed
     where it stopped, since recursion depth would be a vertex-count
     liability.
+
+    The DAG is rebuilt from two sorted runs: the kept edges in the order of
+    ``g.edges``, then the flipped edges sorted. The sort in ``_adjacency``
+    merges the two runs in linear time and gives the list that sorting the
+    flipped edges in place would give, so the DAG is the same. A flipped
+    edge that meets its reverse from a 2-cycle sits next to it after the
+    sort, and the dedupe merges the two as before.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     n = g.vertex_count
@@ -171,10 +234,10 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
                 stack.pop()
     if not back:
         return CycleRemovalResult(g, frozenset())
-    # a flipped edge that meets its reverse from a 2-cycle merges with it
-    # in the dedupe; g was validated, so no other check of build is needed
-    flipped = [(e[1], e[0]) if e in back else e for e in g.edges]
-    dag = DiGraph(n, *_adjacency(n, flipped))
+    # g was validated, so no check of build is needed
+    runs = list(filterfalse(back.__contains__, g.edges))
+    runs += sorted([(w, v) for v, w in back])
+    dag = DiGraph(n, *_adjacency(n, runs))
     return CycleRemovalResult(dag, frozenset(back))
 
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 import pathdraw.graph
 from oracles import (
     GENERATOR_ENUMERATE_LIMIT,
+    cyclic_digraph_edges,
     generate_random_dag_reference,
     longest_ending_at_bruteforce,
     longest_path_ending_at,
     random_digraph,
+    uniform_dag_edges,
 )
 from pathdraw import (
     DiGraph,
@@ -23,6 +26,7 @@ from pathdraw import (
     topo_sort,
 )
 from pathdraw.graph import serialize_graph
+from test_cli_fuzz import MAX_VERTICES, _declared_vertices, _mutate
 
 
 class TestParse:
@@ -77,6 +81,113 @@ class TestParse:
         assert serialize_graph(again) == serialize_graph(g)
 
 
+def _outcome(parse, text: str):
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return str(exc)
+    return g.vertex_count, g.edges, g._succ, g._pred
+
+
+@pytest.fixture
+def read_both(monkeypatch):
+    """Read a document with parse_graph and with the line loop alone.
+
+    The line loop's pairs go straight to DiGraph.build, without the C-level
+    checks that parse_graph runs before it. Checks that the two give equal
+    graphs, adjacency included, or the same GraphError text, and returns
+    whether parse_graph read the document in one pass, without handing it
+    to the line loop.
+    """
+    line_loop, checks = pathdraw.graph._parse_lines, pathdraw.graph._graph
+    handed = []
+
+    def counted(text: str):
+        handed.append(text)
+        return line_loop(text)
+
+    def build_only(vertex_count: int, us: list[int], vs: list[int]) -> DiGraph:
+        try:
+            return DiGraph.build(vertex_count, zip(us, vs))
+        except GraphError as exc:
+            raise GraphError(f"bad edge list: {exc}") from exc
+
+    monkeypatch.setattr(pathdraw.graph, "_parse_lines", counted)
+
+    def read(text: str) -> bool:
+        monkeypatch.setattr(pathdraw.graph, "_graph", build_only)
+        expected = _outcome(line_loop, text)
+        monkeypatch.setattr(pathdraw.graph, "_graph", checks)
+        before = len(handed)
+        assert _outcome(parse_graph, text) == expected, repr(text[:200])
+        return len(handed) == before
+
+    return read
+
+
+class TestOnePassReader:
+    def test_generated_documents_and_their_mutations(self, read_both):
+        reached = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 60)
+            uniform = DiGraph.build(n, uniform_dag_edges(n, rng.randint(0, 3 * n), seed))
+            m = rng.randint(0, min(4 * n, n * (n - 1)))
+            cyclic = DiGraph.build(n, cyclic_digraph_edges(n, m, seed))
+            for g in (uniform, cyclic):
+                text = serialize_graph(g)
+                assert read_both(text) and read_both(text[:-1])
+                for _ in range(25):
+                    mutated = _mutate(text, rng)
+                    if (_declared_vertices(mutated) or 0) > MAX_VERTICES:
+                        continue  # both readers allocate per declared vertex
+                    one_pass = read_both(mutated)
+                    reached.add((one_pass, isinstance(_outcome(parse_graph, mutated), str)))
+        # the mutations reach both readers, and each both accepts and rejects
+        assert reached == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_boundary_documents(self, read_both):
+        cases = {
+            "3\n0 1\n1 2": True,  # no final newline
+            "3\n": True,  # no edges
+            "0": True,
+            "003\n00 01\n1 002\n": True,  # leading zeros
+            "3\n0 2\n2 1\n": True,  # id n - 1
+            "3\n0 1\n0 3\n2 2\n": True,  # id n, then a self-loop
+            "3\n0 1\n1 1\n": True,  # a self-loop
+            "3\n1 2\n0 1\n1 2\n": True,  # a repeat
+            "3\n0 1\n1 2\n0 1\n0 1\n": True,
+            f"3\n0 {'1' * 18}\n": True,
+            f"3\n0 {'1' * 19}\n": False,  # a 19-digit id
+            f"3\n0 {'1' * 4301}\n": False,  # past the default int() limit
+            f"{'0' * 18}3\n0 1\n": False,  # a 19-digit count
+            "3\r\n0 1\r\n": False,
+            "3\n0\t1\n": False,
+            "3\n0 \u0661\n": False,  # a non-ASCII digit
+            "3\n0 1\n\n": False,
+            "\n3\n0 1\n": False,
+            "3\n0 1 \n": False,
+            "# c\n3\n0 1\n": False,
+            "3\n0 1\n# c": False,
+            "": False,
+        }
+        for text, one_pass in cases.items():
+            assert read_both(text) is one_pass, repr(text[:40])
+
+    def test_lowest_digit_limit(self, read_both):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return  # an interpreter with no limit converts any number
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert read_both(f"{'0' * 17}3\n{'0' * 18} 2\n")
+            assert read_both(f"3\n0 {'1' * 18}\n")
+            assert not read_both(f"3\n0 {'0' * 639}1\n")
+            assert not read_both(f"3\n0 {'0' * 640}1\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestCanonicalEdges:
     def test_two_orders_of_one_edge_set_build_equal_graphs(self):
         edges = [(2, 0), (0, 3), (1, 3), (0, 1)]
@@ -106,6 +217,15 @@ class TestCanonicalEdges:
             DiGraph.build(3, [(0, 1), (0, 1), (0, 5)])
         with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
             DiGraph.build(3, [(0, 1), (0, 1), (2, 2)])
+        # an id that is not an int is a fault of its edge, reported in input
+        # order with the range and self-loop faults: True would be written
+        # out as 'True', which parse_graph rejects
+        for edge, shown in (((True, 2), r"True, 2"), ((0.5, 1), r"0\.5, 1"), (("0", 1), r"'0', 1")):
+            message = rf"^edge \({shown}\): vertex ids must be integers$"
+            with pytest.raises(GraphError, match=message):
+                DiGraph.build(3, [(0, 1), (0, 1), edge, (0, 5)])
+            with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
+                DiGraph.build(3, [(0, 1), (2, 2), edge])
         with pytest.raises(GraphError, match=r"^bad edge list: edge \(0, 5\) out of range"):
             parse_graph("3\n0 1\n0 1\n0 5\n")
 

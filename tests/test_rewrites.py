@@ -87,13 +87,18 @@ class TestRemoveCycles:
         assert result.dag._pred == pred
 
     def test_two_cycles_merge_as_before(self):
-        # 0->1->0 with the back edge first, then last, in edge order
-        for edges in ([(1, 0), (0, 1), (1, 2)], [(0, 1), (1, 2), (1, 0)]):
-            g = DiGraph.build(3, edges)
+        # 0->1->0 with the back edge first, then last, in edge order; then a
+        # digraph made only of 2-cycles, where every flipped edge merges
+        only_twins = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2), (4, 3), (3, 4)]
+        cases = (([(1, 0), (0, 1), (1, 2)], 2), ([(0, 1), (1, 2), (1, 0)], 2), (only_twins, 4))
+        for edges, kept in cases:
+            g = DiGraph.build(5, edges)
             result = remove_cycles(g)
             dag_edges, _, _, back = remove_cycles_reference(g)
             assert (result.dag.edges, result.reversed_edges) == (tuple(sorted(dag_edges)), back)
-            assert result.dag.edge_count == 2
+            assert result.dag.edge_count == kept
+        # each of the four back edges merged with its reverse
+        assert len(back) == 4
 
     def test_sprawl_sized_graph_merges_the_same_edges(self):
         g = DiGraph.build(3000, cyclic_digraph_edges(3000, 12000, seed=5, twin_frac=0.1))
@@ -123,9 +128,13 @@ class TestHopcroftKarp:
     def test_equals_index_form_on_small_dags(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 40)
-        g = DiGraph.build(n, uniform_dag_edges(n, rng.randint(0, 3 * n), seed))
-        got, expected = _matchings(g)
-        assert got == expected
+        edges = uniform_dag_edges(n, rng.randint(0, 3 * n), seed)
+        # the seeded DAG, the edgeless graph on its vertices, and the DAG
+        # with ids doubled, so every odd id is an isolated vertex
+        spread = [(2 * u, 2 * v) for u, v in edges]
+        for g in (DiGraph.build(n, edges), DiGraph.build(n, []), DiGraph.build(2 * n, spread)):
+            got, expected = _matchings(g)
+            assert got == expected
 
     def test_equals_index_form_on_a_long_augmenting_path(self):
         got, expected = _matchings(ladder_dag(5000))
