@@ -25,8 +25,9 @@ for i, path in enumerate(cover.paths):
 assert validate_decomposition(g, cover).ok
 
 cls = classify_edges(g, cover)
+on_path = [e for e, kind in cls.category.items() if kind == "path"]
 print(
-    f"\nclassification: {len(cls.path_edges)} path, "
+    f"\nclassification: {len(on_path)} path, "
     f"{len(cls.transitive_edges)} transitive, {len(cls.cross_edges)} cross"
 )
 

@@ -36,7 +36,10 @@ report = validate_decomposition(g, d)
 print("decomposition valid:", report.ok)
 
 cls = classify_edges(g, d)
-print(f"path edges: {sorted(cls.path_edges)}")
+# the classification maps each edge to its kind and lists the transitive
+# and the cross edges; the path edges are the rest of the map
+on_path = [e for e, kind in cls.category.items() if kind == "path"]
+print(f"path edges: {sorted(on_path)}")
 print(f"transitive: {sorted(cls.transitive_edges)}")
 print(f"cross:      {sorted(cls.cross_edges)}")
 

@@ -11,7 +11,8 @@ edge joins vertices of different paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .graph import DiGraph, number_too_long, topo_sort
 from .layout import CROSS, PATH, TRANSITIVE
@@ -69,12 +70,10 @@ class PathDecomposition:
         return index, report
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
-    path_edges: frozenset[tuple[int, int]]
-    transitive_edges: frozenset[tuple[int, int]]
-    cross_edges: frozenset[tuple[int, int]]
-    category: dict[tuple[int, int], str] = field(compare=False, repr=False)  # derived from the sets
+class EdgeClassification(NamedTuple):
+    category: dict[tuple[int, int], str]  # every edge -> its kind, in edge order
+    transitive_edges: list[tuple[int, int]]  # in edge order
+    cross_edges: list[tuple[int, int]]  # in edge order
 
 
 @dataclass(frozen=True)
@@ -139,27 +138,29 @@ def validate_decomposition(
 
 
 def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
-    """Partition the edge set into path / transitive / cross edges, in one
-    pass that also maps each edge to its kind, which ``draw`` keeps."""
+    """Map each edge to its kind in one pass over g's edges, which also lists
+    the transitive and the cross edges in edge order; ``draw`` keeps the map."""
     path_of = d.path_of(g.vertex_count)
-    steps = {e for path in d.paths for e in zip(path, path[1:])}
-    path_edges, transitive, cross = set(), set(), set()
+    after = [-1] * g.vertex_count  # each vertex's successor on its path
+    for path in d.paths:
+        for u, v in zip(path, path[1:]):
+            after[u] = v
     category: dict[tuple[int, int], str] = {}
+    transitive, cross = [], []
     for e in g.edges:
         u, v = e
         if path_of[u] != path_of[v]:
-            cross.add(e)
+            cross.append(e)
             category[e] = CROSS
-        elif e in steps:
-            path_edges.add(e)
+        elif after[u] == v:
             category[e] = PATH
         else:
-            transitive.add(e)
+            transitive.append(e)
             category[e] = TRANSITIVE
-    return EdgeClassification(*map(frozenset, (path_edges, transitive, cross)), category)
+    return EdgeClassification(category, transitive, cross)
 
 
-def _hopcroft_karp(n: int, adj: list[tuple[int, ...]]) -> list[int]:
+def _hopcroft_karp(n: int, adj: tuple[tuple[int, ...], ...]) -> list[int]:
     """Maximum matching on the split bipartite graph; returns match_left.
 
     Left copy u is the out-side of vertex u, right copy v the in-side;
@@ -249,9 +250,8 @@ def min_path_cover(g: DiGraph) -> PathDecomposition:
     first vertex, which fixes the column order of the drawing.
     """
     rank = topo_sort(g)  # the ranks kept on g, if sorted before; rejects cyclic input
-    # successor tuples are sorted, so edges are tried in ascending id order
-    adj = [g.successors(u) for u in range(g.vertex_count)]
-    match_left = _hopcroft_karp(g.vertex_count, adj)
+    # g's own successor tuples, uncopied; each is sorted, so edges go in id order
+    match_left = _hopcroft_karp(g.vertex_count, g._succ)
     matched = set(match_left)  # every vertex with a predecessor on its path
     paths: list[tuple[int, ...]] = []
     for start in rank:  # the ranks list the vertices in rank order

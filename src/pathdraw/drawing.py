@@ -105,8 +105,7 @@ def gap_stacks(
     cls: EdgeClassification, y: list[int], path_of: list[int], bundle_cross_incoming: bool
 ) -> dict[int, LanePacking]:
     """Gap index -> the packed lanes of its occupants, for every gap with any."""
-    cross_edges = [e for e, kind in cls.category.items() if kind == CROSS]
-    occupants = gap_occupants(y, path_of, cross_edges, bundle_cross_incoming)
+    occupants = gap_occupants(y, path_of, cls.cross_edges, bundle_cross_incoming)
     return {gap: pack_intervals(items) for gap, items in occupants.items()}
 
 

@@ -11,9 +11,11 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from itertools import product
 from statistics import median
 
+import pytest
 from oracles import (
     _orient,
     bends_for_distance,
@@ -232,6 +234,49 @@ def _lines_run(fn, *args) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates above what is allocated when
+    it is called, as ``tracemalloc`` traces them.
+
+    One untraced warm-up call comes first, so that what the first call
+    keeps, such as the ranks ``topo_sort`` stores on a graph, is not
+    counted. Skips when a tracer is already running, since this one would
+    stop it.
+    """
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    fn(*args)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _check_peak_growth(criterion, make, families, sizes, bound, what) -> None:
+    """Gate ``_peak_bytes(*make(inputs))`` on each named family, whose
+    inputs are built at each of the doubling ``sizes`` with seed 1: the
+    trend over the whole ladder may not exceed ``bound`` per doubling. A
+    stage linear in memory holds about twice the bytes per doubling, a
+    quadratic one four times. Single steps are not bounded: a container
+    grows in steps, so one step can jump while the trend holds."""
+    trends = []
+    for family, build in families:
+        peaks = [_peak_bytes(*make(build(n, 1))) for n in sizes]
+        ratios = [peaks[i + 1] / peaks[i] for i in range(len(peaks) - 1)]
+        per_doubling = (peaks[-1] / peaks[0]) ** (1 / (len(sizes) - 1))
+        assert per_doubling <= bound, f"{family}: peaks {peaks}, steps {ratios}"
+        pretty = ", ".join(f"{r:.2f}" for r in ratios)
+        trends.append(
+            f"{family} {peaks[0] / 1e6:.2f} -> {peaks[-1] / 1e6:.2f} MB, "
+            f"{per_doubling:.2f}x per doubling (steps [{pretty}])"
+        )
+    _report(criterion, f"{what} peak: {'; '.join(trends)} on sizes {sizes[0]}..{sizes[-1]}")
 
 
 def _check_line_growth(criterion, make, families, sizes, bound, what) -> None:
@@ -480,6 +525,23 @@ def test_criterion_15_line_growth():
 
     families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
     _check_line_growth(15, make, families, LINE_SIZES, 2.2, "render_svg")
+
+
+def test_criterion_06_memory_growth():
+    # criterion 06's family, measured in the peak bytes that tracemalloc traces
+    _check_peak_growth(6, _draw_args, [("uniform", _uniform_dag)], LINE_SIZES, 2.5, "draw")
+
+
+def test_criterion_12_memory_growth():
+    # criterion 12's many-lane path, measured in peak bytes; a per-lane
+    # table over the n/2 lanes of its one stack is quadratic
+    family = [("many-lane", lambda n, _: many_lane_dag(n))]
+    _check_peak_growth(12, _draw_on_paths_args, family, LINE_SIZES, 2.5, "draw")
+
+
+def test_criterion_13_memory_growth():
+    # criterion 13's family, measured in peak bytes
+    _check_peak_growth(13, _draw_args, [("cyclic", _cyclic_dag)], LINE_SIZES, 2.5, "draw")
 
 
 def test_criterion_07_hiding_transitive_preserves_positions():

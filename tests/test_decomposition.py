@@ -5,7 +5,12 @@ import re
 
 import pytest
 
-from oracles import ladder_dag, max_matching_bruteforce, min_cover_bruteforce
+from oracles import (
+    cyclic_digraph_edges,
+    ladder_dag,
+    max_matching_bruteforce,
+    min_cover_bruteforce,
+)
 from pathdraw import (
     DecompositionError,
     DiGraph,
@@ -15,6 +20,7 @@ from pathdraw import (
     generate_random_dag,
     min_path_cover,
     parse_decomposition,
+    remove_cycles,
     topo_sort,
     validate_decomposition,
 )
@@ -80,29 +86,50 @@ class TestDrawNeedsPartition:
         assert CountingPaths.walks == walks
 
 
+def _path_edges(cls) -> set:
+    """The edges that the map calls path edges; neither list holds them."""
+    return {e for e, kind in cls.category.items() if kind == "path"}
+
+
 class TestClassify:
     def test_chain_with_shortcut(self):
         g = DiGraph.build(3, [(0, 1), (1, 2), (0, 2)])
         cls = classify_edges(g, PathDecomposition(((0, 1, 2),)))
-        assert cls.path_edges == {(0, 1), (1, 2)}
-        assert cls.transitive_edges == {(0, 2)}
-        assert cls.cross_edges == frozenset()
+        assert _path_edges(cls) == {(0, 1), (1, 2)}
+        assert set(cls.transitive_edges) == {(0, 2)}
+        assert set(cls.cross_edges) == set()
 
     def test_diamond(self, diamond, diamond_paths):
         cls = classify_edges(diamond, diamond_paths)
-        assert cls.path_edges == {(0, 1), (1, 3)}
-        assert cls.transitive_edges == frozenset()
-        assert cls.cross_edges == {(0, 2), (2, 3)}
+        assert _path_edges(cls) == {(0, 1), (1, 3)}
+        assert set(cls.transitive_edges) == set()
+        assert set(cls.cross_edges) == {(0, 2), (2, 3)}
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_classes_partition_edge_set(self, seed):
         g = generate_random_dag(40, 2.2, seed)
         d = min_path_cover(g)
         cls = classify_edges(g, d)
-        groups = (cls.path_edges, cls.transitive_edges, cls.cross_edges)
+        groups = (_path_edges(cls), set(cls.transitive_edges), set(cls.cross_edges))
         union = set().union(*groups)
         assert union == set(g.edges)
         assert sum(len(s) for s in groups) == g.edge_count
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lists_follow_the_map_in_edge_order(self, seed, cyclic):
+        # the map and the two lists come from one pass over g.edges, so each
+        # list is the map's edges of its kind, in edge order
+        if cyclic:
+            g = remove_cycles(DiGraph.build(60, cyclic_digraph_edges(60, 150, seed))).dag
+        else:
+            g = generate_random_dag(60, 3.0, seed)
+        cls = classify_edges(g, min_path_cover(g))
+        assert list(cls.category) == list(g.edges)
+        for kind, edges in (("transitive", cls.transitive_edges), ("cross", cls.cross_edges)):
+            assert type(edges) is list
+            assert edges == [e for e in g.edges if cls.category[e] == kind]
+        assert cls.transitive_edges and cls.cross_edges
 
 
 class TestMinPathCover:

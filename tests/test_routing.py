@@ -224,7 +224,7 @@ class TestBundleRecordsMatchRoutes:
         cls = classify_edges(g, d)
         assert all(count[e] == 1 for e in cls.transitive_edges)
         assert all(count[e] <= 1 for e in cls.cross_edges)
-        assert set(count) <= cls.transitive_edges | cls.cross_edges
+        assert set(count) <= set(cls.transitive_edges) | set(cls.cross_edges)
 
 
 def _two_bundle_graph():
