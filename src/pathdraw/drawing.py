@@ -78,17 +78,19 @@ def draw(
 def place_rows(g: DiGraph, compact: bool) -> list[int]:
     """Rows by dense id. Compacted, a source sits on row 0 and every other
     vertex one row below its lowest predecessor, so its row is the longest
-    path ending at it; otherwise a vertex's row is its rank in ``topo_sort``."""
+    path ending at it; otherwise a vertex's row is its rank in ``topo_sort``.
+    Compacted rows are pushed along the successors in rank order, so a
+    vertex's row is final once every predecessor has pushed it."""
     ranks = topo_sort(g)  # kept on g; lists the vertices predecessors first
     if not compact:
         return [ranks[v] for v in range(g.vertex_count)]
     y = [0] * g.vertex_count  # dense ids let the hot loop index a list, not a dict
+    succ = g._succ
     for v in ranks:
-        best = -1
-        for u in g.predecessors(v):
-            if y[u] > best:
-                best = y[u]
-        y[v] = best + 1
+        below = y[v] + 1
+        for w in succ[v]:
+            if y[w] < below:
+                y[w] = below
     return y
 
 

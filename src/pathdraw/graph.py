@@ -9,13 +9,20 @@ built, so graphs with the same edge set compare equal and no caller sorts
 them again. ``DiGraph.build`` checks every pair for integer ids, range and
 self-loops in input order and reports the first such fault; only then does
 it report a repeat, naming the smallest repeated pair.
+
+A graph holds one adjacency, its successor tuples. No stage here or in the
+drawing reads predecessors: ``topo_sort`` counts in-degrees from the
+successors. ``DiGraph.predecessors`` builds the predecessor tuples on first
+read and keeps them on the graph.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappush, heappop
 from itertools import filterfalse
 from operator import eq
@@ -27,10 +34,16 @@ class GraphError(Exception):
 
 @dataclass(frozen=True)
 class DiGraph:
+    """A directed graph on vertices 0..n-1 with sorted, unique edges.
+
+    It keeps the successor tuples only; ``predecessors`` builds the
+    predecessor tuples on first read and keeps them on the graph. Neither
+    adjacency takes part in equality or repr.
+    """
+
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     _succ: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    _pred: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, vertex_count: int, edges) -> "DiGraph":
@@ -53,12 +66,12 @@ class DiGraph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             pairs.append((u, v))
-        unique, succ, pred = _adjacency(vertex_count, pairs)
+        unique, succ = _adjacency(vertex_count, pairs)
         if len(unique) < len(pairs):
             ordered = sorted(pairs)
             u, v = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
             raise GraphError(f"duplicate edge ({u}, {v})")
-        return cls(vertex_count, unique, succ, pred)
+        return cls(vertex_count, unique, succ)
 
     @property
     def edge_count(self) -> int:
@@ -70,24 +83,27 @@ class DiGraph:
     def predecessors(self, v: int) -> tuple[int, ...]:
         return self._pred[v]
 
+    @cached_property
+    def _pred(self) -> tuple[tuple[int, ...], ...]:
+        # a cached_property writes to the instance dict, past the frozen
+        # __setattr__; the edges are sorted, so every list fills ascending
+        pred: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            pred[v].append(u)
+        return tuple(map(tuple, pred))
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._succ[u]
 
 
-def _adjacency(vertex_count: int, edges) -> tuple[tuple, tuple, tuple]:
-    """The edges sorted by (u, v) without repeats, and the successor and
-    predecessor tuples they give.
-
-    One sort fills every successor list in ascending order, and every
-    predecessor list too, since sources arrive ascending.
-    """
+def _adjacency(vertex_count: int, edges) -> tuple[tuple, tuple]:
+    """The edges sorted by (u, v) without repeats, and the successor tuples
+    they give; one sort fills every successor list in ascending order."""
     unique = tuple(dict.fromkeys(sorted(edges)))
     succ: list[list[int]] = [[] for _ in range(vertex_count)]
-    pred: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in unique:
         succ[u].append(v)
-        pred[v].append(u)
-    return unique, tuple(map(tuple, succ)), tuple(map(tuple, pred))
+    return unique, tuple(map(tuple, succ))
 
 
 @dataclass(frozen=True)
@@ -120,7 +136,9 @@ def parse_graph(text: str) -> DiGraph:
     a ``#`` after an edge is an error.
 
     A document in the canonical form that ``serialize_graph`` writes is
-    tokenized in one pass: ``split`` and ``int`` take the numbers. Every
+    tokenized in one pass: its numbers, joined by commas, are read as one
+    JSON array by the C scanner. JSON rejects a leading zero, so a
+    document with one is read by ``split`` and ``int`` instead. Every
     other document goes through the line loop, which reads the same count
     and edges from a canonical document, since its count and edge lines are
     exactly the lines that the loop keeps. Either way the edges are checked
@@ -134,7 +152,10 @@ def parse_graph(text: str) -> DiGraph:
     canonical = _CANONICAL.match(text)
     if canonical is None or canonical.end() != len(text):
         return _parse_lines(text)
-    numbers = list(map(int, text.split()))
+    try:
+        numbers = json.loads("[" + text.rstrip("\n").replace("\n", ",").replace(" ", ",") + "]")
+    except ValueError:  # a number with a leading zero
+        numbers = list(map(int, text.split()))
     return _graph(numbers[0], numbers[1::2], numbers[2::2])
 
 
@@ -178,9 +199,9 @@ def _graph(vertex_count: int, us: list[int], vs: list[int]) -> DiGraph:
     pairs = list(zip(us, vs))
     in_range = max(us, default=-1) < vertex_count and max(vs, default=-1) < vertex_count
     if in_range and not any(map(eq, us, vs)):
-        unique, succ, pred = _adjacency(vertex_count, pairs)
+        unique, succ = _adjacency(vertex_count, pairs)
         if len(unique) == len(pairs):
-            return DiGraph(vertex_count, unique, succ, pred)
+            return DiGraph(vertex_count, unique, succ)
     try:
         return DiGraph.build(vertex_count, pairs)
     except GraphError as exc:
@@ -244,14 +265,18 @@ def remove_cycles(g: DiGraph) -> CycleRemovalResult:
 def topo_sort(g: DiGraph) -> dict[int, int]:
     """Topological rank of every vertex, by Kahn's algorithm.
 
-    A min-id heap makes the order reproducible. The dict lists the
+    The in-degrees are counted from the successor tuples. A min-id heap
+    makes the order reproducible. The dict lists the
     vertices in rank order. Raises GraphError naming a vertex on a cycle
     if the graph is cyclic. The ranks are kept on g, so later calls return
     the same dict; callers must not modify it.
     """
     if "_rank" in g.__dict__:
         return g.__dict__["_rank"]
-    indeg = list(map(len, g._pred))
+    indeg = [0] * g.vertex_count
+    for out in g._succ:
+        for w in out:
+            indeg[w] += 1
     heap: list[int] = [v for v in range(g.vertex_count) if indeg[v] == 0]
     heapify(heap)
     rank: dict[int, int] = {}

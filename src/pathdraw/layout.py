@@ -68,6 +68,8 @@ def assert_properties(g: DiGraph, layout: Layout) -> None:
 
     Property 1: vertices of one path occupy distinct rows. Property 2:
     every vertex off row 0 has an incoming edge from exactly one row above.
+    Property 2 reads the successor tuples only, and its error names the
+    smallest vertex that fails it.
     """
     for path in layout.paths:
         seen: dict[int, int] = {}
@@ -79,10 +81,15 @@ def assert_properties(g: DiGraph, layout: Layout) -> None:
                     "of one path share a row"
                 )
             seen[row] = v
+    y = layout.y
+    fed = [False] * g.vertex_count
+    for u, out in enumerate(g._succ):
+        below = y[u] + 1
+        for w in out:
+            if y[w] == below:
+                fed[w] = True
     for v in range(g.vertex_count):
-        if layout.y[v] == 0:
-            continue
-        if not any(layout.y[u] == layout.y[v] - 1 for u in g.predecessors(v)):
+        if not fed[v] and y[v] != 0:
             raise InvariantError(
                 f"internal invariant violated: vertex {v} has no predecessor one row above"
             )

@@ -37,12 +37,14 @@ from pathdraw import (
     draw,
     generate_random_dag,
     min_path_cover,
+    parse_graph,
     remove_cycles,
     render_svg,
     topo_sort,
 )
 from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
+from pathdraw.graph import serialize_graph
 from pathdraw.metrics import count_crossings
 
 SIZES = (20, 50, 100)
@@ -542,6 +544,33 @@ def test_criterion_12_memory_growth():
 def test_criterion_13_memory_growth():
     # criterion 13's family, measured in peak bytes
     _check_peak_growth(13, _draw_args, [("cyclic", _cyclic_dag)], LINE_SIZES, 2.5, "draw")
+
+
+def _cyclic_digraph(n, seed):
+    # criterion 13's input before cycle removal
+    return DiGraph.build(n, cyclic_digraph_edges(n, 2 * n, seed))
+
+
+def _parse_args(g):
+    return parse_graph, serialize_graph(g)
+
+
+def _remove_cycles_args(g):
+    return remove_cycles, g
+
+
+def test_criterion_06_parse_and_cycle_removal_memory_growth():
+    # the stages before the cover on criterion 06's family, in peak bytes
+    family = [("uniform", _uniform_dag)]
+    _check_peak_growth(6, _parse_args, family, LINE_SIZES, 2.5, "parse_graph")
+    _check_peak_growth(6, _remove_cycles_args, family, LINE_SIZES, 2.5, "remove_cycles")
+
+
+def test_criterion_13_parse_and_cycle_removal_memory_growth():
+    # the same on criterion 13's cyclic digraphs, whose removal rebuilds the graph
+    family = [("cyclic", _cyclic_digraph)]
+    _check_peak_growth(13, _parse_args, family, LINE_SIZES, 2.5, "parse_graph")
+    _check_peak_growth(13, _remove_cycles_args, family, LINE_SIZES, 2.5, "remove_cycles")
 
 
 def test_criterion_07_hiding_transitive_preserves_positions():

@@ -152,6 +152,7 @@ class TestOnePassReader:
             "3\n": True,  # no edges
             "0": True,
             "003\n00 01\n1 002\n": True,  # leading zeros
+            "3\n0 1\n1 02\n": True,  # a leading zero in the last edge only
             "3\n0 2\n2 1\n": True,  # id n - 1
             "3\n0 1\n0 3\n2 2\n": True,  # id n, then a self-loop
             "3\n0 1\n1 1\n": True,  # a self-loop

@@ -41,13 +41,16 @@ from pathdraw import (
     draw,
     measure,
     min_path_cover,
+    parse_graph,
     remove_cycles,
     render_json,
     render_svg,
+    run_pipeline_full,
     topo_sort,
 )
 from pathdraw.decomposition import _hopcroft_karp, classify_edges
 from pathdraw.drawing import BundleRecord
+from pathdraw.graph import serialize_graph
 from pathdraw.layout import Layout, MetricsReport
 from pathdraw.metrics import count_crossings, count_vertex_touches
 from pathdraw.routing import gap_occupants
@@ -72,6 +75,30 @@ class TestAdjacency:
         assert g._pred == ((), (3,), (), (), ())
         empty = DiGraph.build(0, [])
         assert (empty._succ, empty._pred) == ((), ())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_stage_builds_predecessor_tuples(self, seed):
+        # predecessor tuples are built on first read; no stage of the
+        # library path or of run_pipeline_full, self-check included, reads them
+        n = random.Random(seed).randint(2, 120)
+        inputs = (
+            DiGraph.build(n, cyclic_digraph_edges(n, 2 * n, seed)),
+            DiGraph.build(n, uniform_dag_edges(n, 2 * n, seed)),
+        )
+        for built in inputs:
+            g = parse_graph(serialize_graph(built))
+            dag = remove_cycles(g).dag
+            topo_sort(dag)
+            drawing = draw(dag, min_path_cover(dag))
+            render_svg(drawing.layout)
+            render_json(drawing.layout, measure(drawing.layout), drawing.bundles)
+            assert run_pipeline_full(g).graph == dag
+            # an acyclic g comes back from remove_cycles as the DAG itself
+            assert "_pred" not in vars(g) and "_pred" not in vars(dag)
+            for graph in (g, dag):
+                _, pred = adjacency_reference(graph.vertex_count, graph.edges)
+                assert tuple(map(graph.predecessors, range(graph.vertex_count))) == pred
+                assert "_pred" in vars(graph)
 
 
 class TestRemoveCycles:
