@@ -139,7 +139,11 @@ def validate_decomposition(
 
 def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     """Map each edge to its kind in one pass over g's edges, which also lists
-    the transitive and the cross edges in edge order; ``draw`` keeps the map."""
+    the transitive and the cross edges in edge order; ``draw`` keeps the map.
+
+    Raises DecompositionError unless the paths of d partition g's vertices
+    and each consecutive pair is an edge of g.
+    """
     path_of = d.path_of(g.vertex_count)
     after = [-1] * g.vertex_count  # each vertex's successor on its path
     for path in d.paths:
@@ -157,6 +161,11 @@ def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
         else:
             transitive.append(e)
             category[e] = TRANSITIVE
+    # the paths hold n - k consecutive pairs and each edge is at most one of
+    # them, so every pair is an edge exactly when n - k edges are path edges
+    if len(category) - len(transitive) - len(cross) != g.vertex_count - d.path_count:
+        report = validate_decomposition(g, d)
+        raise DecompositionError(f"invalid decomposition: {report.describe()}")
     return EdgeClassification(category, transitive, cross)
 
 

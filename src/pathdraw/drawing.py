@@ -56,7 +56,8 @@ def draw(
     callers that pass ranks positionally. Without ``bundle_transitive_edges``
     transitive edges are hidden (empty routes, no lanes); without
     ``bundle_cross_incoming`` every cross edge has a lane occupancy of its
-    own. Raises DecompositionError unless the paths of ``d`` partition g.
+    own. Raises DecompositionError unless ``d`` is a path decomposition of
+    g (see ``classify_edges``).
     """
     path_of = d.path_of(g.vertex_count)
     cls = classify_edges(g, d)
@@ -81,7 +82,7 @@ def place_rows(g: DiGraph, compact: bool) -> list[int]:
     path ending at it; otherwise a vertex's row is its rank in ``topo_sort``.
     Compacted rows are pushed along the successors in rank order, so a
     vertex's row is final once every predecessor has pushed it."""
-    ranks = topo_sort(g)  # kept on g; lists the vertices predecessors first
+    ranks = topo_sort(g)  # kept on g; lists the vertices in topological order
     if not compact:
         return [ranks[v] for v in range(g.vertex_count)]
     y = [0] * g.vertex_count  # dense ids let the hot loop index a list, not a dict

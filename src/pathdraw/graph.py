@@ -10,10 +10,12 @@ them again. ``DiGraph.build`` checks every pair for integer ids, range and
 self-loops in input order and reports the first such fault; only then does
 it report a repeat, naming the smallest repeated pair.
 
-A graph holds one adjacency, its successor tuples. No stage here or in the
-drawing reads predecessors: ``topo_sort`` counts in-degrees from the
-successors. ``DiGraph.predecessors`` builds the predecessor tuples on first
-read and keeps them on the graph.
+A graph holds one adjacency, its successor tuples; ``topo_sort`` counts
+in-degrees from them.
+
+``parse_graph`` has two readers: a one-pass reader for the canonical form
+that ``serialize_graph`` writes, and a line loop for every other document,
+including a canonical one with a leading zero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heapify, heappush, heappop
 from itertools import filterfalse
 from operator import eq
@@ -36,9 +37,8 @@ class GraphError(Exception):
 class DiGraph:
     """A directed graph on vertices 0..n-1 with sorted, unique edges.
 
-    It keeps the successor tuples only; ``predecessors`` builds the
-    predecessor tuples on first read and keeps them on the graph. Neither
-    adjacency takes part in equality or repr.
+    It keeps the successor tuples only, which take no part in equality or
+    repr: the edges fix them.
     """
 
     vertex_count: int
@@ -79,18 +79,6 @@ class DiGraph:
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._succ[v]
-
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._pred[v]
-
-    @cached_property
-    def _pred(self) -> tuple[tuple[int, ...], ...]:
-        # a cached_property writes to the instance dict, past the frozen
-        # __setattr__; the edges are sorted, so every list fills ascending
-        pred: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            pred[v].append(u)
-        return tuple(map(tuple, pred))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._succ[u]
@@ -137,15 +125,14 @@ def parse_graph(text: str) -> DiGraph:
 
     A document in the canonical form that ``serialize_graph`` writes is
     tokenized in one pass: its numbers, joined by commas, are read as one
-    JSON array by the C scanner. JSON rejects a leading zero, so a
-    document with one is read by ``split`` and ``int`` instead. Every
-    other document goes through the line loop, which reads the same count
-    and edges from a canonical document, since its count and edge lines are
-    exactly the lines that the loop keeps. Either way the edges are checked
-    by C-level passes, ``max`` for the range, ``map(eq, ...)`` for
-    self-loops and the sorted unique edges for repeats, and any fault is
-    handed to ``DiGraph.build`` on the same pairs in the same order, so its
-    message is the only wording.
+    JSON array by the C scanner. Every other document goes through the line
+    loop, and so does a canonical one with a leading zero, which JSON
+    rejects. The loop reads the same count and edges from a canonical
+    document, since its count and edge lines are exactly the lines that the
+    loop keeps. Either way the edges are checked by C-level passes, ``max``
+    for the range, ``map(eq, ...)`` for self-loops and the sorted unique
+    edges for repeats, and any fault is handed to ``DiGraph.build`` on the
+    same pairs in the same order, so its message is the only wording.
     """
     # a match that stops short of the end, unlike fullmatch, fails without
     # backtracking over every line before the fault
@@ -155,7 +142,7 @@ def parse_graph(text: str) -> DiGraph:
     try:
         numbers = json.loads("[" + text.rstrip("\n").replace("\n", ",").replace(" ", ",") + "]")
     except ValueError:  # a number with a leading zero
-        numbers = list(map(int, text.split()))
+        return _parse_lines(text)
     return _graph(numbers[0], numbers[1::2], numbers[2::2])
 
 

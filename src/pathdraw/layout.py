@@ -3,9 +3,9 @@
 Coordinates are integer grid cells. Row 0 is the top of the rendered output
 and every edge runs from a lower to a higher row. ``draw`` places the rows:
 without compaction each vertex sits at the row of its topological rank
-(height n-1); with it each vertex's row is 1 + the largest row of its
-predecessors and sources are on row 0, which brings the height down to the
-longest-path length exactly. ``assert_properties`` checks a compacted layout
+(height n-1); with it each vertex's row is 1 + the largest row of a vertex
+with an edge into it, and sources are on row 0, which brings the height
+down to the longest-path length exactly. ``assert_properties`` checks a compacted layout
 and raises ``InvariantError``, naming the vertices, when a property fails.
 ``grid_lines`` lists the columns and rows in use, for metrics and the SVG.
 """

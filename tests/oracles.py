@@ -419,13 +419,13 @@ def adjacency_reference(vertex_count: int, edges) -> tuple[tuple, tuple]:
     return tuple(tuple(sorted(s)) for s in succ), tuple(tuple(sorted(p)) for p in pred)
 
 
-def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]:
+def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, frozenset]:
     """Back edges of a DFS with (vertex, index) frames, then flip and dedupe.
 
-    Returns the DAG's edges, its successor and predecessor tuples and the
-    reversed set. A flipped edge that meets an edge already kept, its
-    reverse from a 2-cycle, is dropped, so each DAG edge keeps the position
-    of its first occurrence in the input order.
+    Returns the DAG's edges, its successor tuples and the reversed set. A
+    flipped edge that meets an edge already kept, its reverse from a
+    2-cycle, is dropped, so each DAG edge keeps the position of its first
+    occurrence in the input order.
     """
     n = g.vertex_count
     succ, _ = adjacency_reference(n, g.edges)
@@ -456,7 +456,7 @@ def remove_cycles_reference(g: DiGraph) -> tuple[tuple, tuple, tuple, frozenset]
         if e not in seen:
             seen.add(e)
             edges.append(e)
-    return (tuple(edges), *adjacency_reference(n, edges), frozenset(back))
+    return tuple(edges), adjacency_reference(n, edges)[0], frozenset(back)
 
 
 def hopcroft_karp_reference(n: int, adj: list[tuple[int, ...]]) -> list[int]:

@@ -39,13 +39,15 @@ from pathdraw import (
     min_path_cover,
     parse_graph,
     remove_cycles,
+    render_json,
     render_svg,
     topo_sort,
 )
 from pathdraw.bundling import BundleInterval, pack_intervals
 from pathdraw.cli import main
 from pathdraw.graph import serialize_graph
-from pathdraw.metrics import count_crossings
+from pathdraw.layout import MetricsReport
+from pathdraw.metrics import count_crossings, count_vertex_touches
 
 SIZES = (20, 50, 100)
 DEGREES = (1.6, 5.6)
@@ -457,14 +459,15 @@ def test_criterion_14_path_cover_scaling_trend():
     _check_growth(14, _cover_args, 3.0, "min_path_cover")
 
 
+def _svg_args(dag):
+    return render_svg, draw(dag, min_path_cover(dag)).layout
+
+
 def test_criterion_15_svg_scaling_trend():
     # The SVG writer is linear in the route points, and its canvas and
     # pixel text grow with the distinct coordinates: at most 2.5 per
     # doubling, as for the drawing window in criterion 06.
-    def make(dag):
-        return render_svg, draw(dag, min_path_cover(dag)).layout
-
-    _check_growth(15, make, 2.5, "render_svg")
+    _check_growth(15, _svg_args, 2.5, "render_svg")
 
 
 LINE_SIZES = (1000, 2000, 4000, 8000)
@@ -522,11 +525,8 @@ def test_criterion_14_line_growth():
 
 def test_criterion_15_line_growth():
     # criterion 15's two families, counted in executed lines instead of seconds
-    def make(dag):
-        return render_svg, draw(dag, min_path_cover(dag)).layout
-
     families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
-    _check_line_growth(15, make, families, LINE_SIZES, 2.2, "render_svg")
+    _check_line_growth(15, _svg_args, families, LINE_SIZES, 2.2, "render_svg")
 
 
 def test_criterion_06_memory_growth():
@@ -544,6 +544,45 @@ def test_criterion_12_memory_growth():
 def test_criterion_13_memory_growth():
     # criterion 13's family, measured in peak bytes
     _check_peak_growth(13, _draw_args, [("cyclic", _cyclic_dag)], LINE_SIZES, 2.5, "draw")
+
+
+def test_criterion_14_memory_growth():
+    # criterion 14's two families, measured in the peak bytes of the cover
+    families = [("uniform", _uniform_dag), ("cyclic", _cyclic_dag)]
+    _check_peak_growth(14, _cover_args, families, LINE_SIZES, 2.5, "min_path_cover")
+
+
+def test_criterion_16_memory_growth():
+    # criterion 16's nested path, measured in peak bytes; a table over the
+    # lane pairs of its one stack is quadratic
+    family = [("nested", lambda n, _: nested_span_dag(n))]
+    _check_peak_growth(16, _draw_on_paths_args, family, LINE_SIZES, 2.5, "draw")
+
+
+def _json_args(dag):
+    # a report built by hand keeps count_crossings, whose memory grows
+    # with the crossings, out of the set-up
+    drawing = draw(dag, min_path_cover(dag))
+    return render_json, drawing.layout, MetricsReport(0, 0, 0, 0, 0), drawing.bundles
+
+
+def _touches_args(dag):
+    return count_vertex_touches, draw(dag, min_path_cover(dag)).layout
+
+
+def _check_output_peak_growth(criterion, family) -> None:
+    """The writers and the vertex-touch count, in peak bytes on one family."""
+    _check_peak_growth(criterion, _svg_args, family, LINE_SIZES, 2.5, "render_svg")
+    _check_peak_growth(criterion, _json_args, family, LINE_SIZES, 2.5, "render_json")
+    _check_peak_growth(criterion, _touches_args, family, LINE_SIZES, 2.5, "count_vertex_touches")
+
+
+def test_criterion_06_output_memory_growth():
+    _check_output_peak_growth(6, [("uniform", _uniform_dag)])
+
+
+def test_criterion_13_output_memory_growth():
+    _check_output_peak_growth(13, [("cyclic", _cyclic_dag)])
 
 
 def _cyclic_digraph(n, seed):

@@ -71,6 +71,21 @@ class TestDrawNeedsPartition:
         with pytest.raises(DecompositionError, match=re.escape(named)):
             draw(diamond, PathDecomposition(paths))
 
+    def test_draw_rejects_a_pair_that_is_not_an_edge(self, chain3):
+        # a cycle whose input edge 2 -> 0 cycle removal flips to 0 -> 2
+        flipped = remove_cycles(DiGraph.build(3, [(0, 1), (1, 2), (2, 0)])).dag
+        assert flipped.edges == ((0, 1), (0, 2), (1, 2))
+        cases = (
+            (chain3, ((2, 0), (1,)), "(2, 0)"),  # against the edges, across a vertex
+            (chain3, ((1, 0), (2,)), "(1, 0)"),  # an edge reversed
+            (chain3, ((0, 2), (1,)), "(0, 2)"),  # reachable, but not an edge
+            (flipped, ((1, 2, 0),), "(2, 0)"),  # an input edge that was flipped
+        )
+        for g, paths, pair in cases:
+            named = f"invalid decomposition: consecutive pairs that are not edges {pair}"
+            with pytest.raises(DecompositionError, match=f"^{re.escape(named)}$"):
+                draw(g, PathDecomposition(paths))
+
     def test_validation_and_drawing_walk_the_paths_once(self, diamond):
         class CountingPaths(tuple):
             walks = 0

@@ -8,6 +8,7 @@ import pytest
 import pathdraw.graph
 from oracles import (
     GENERATOR_ENUMERATE_LIMIT,
+    adjacency_reference,
     cyclic_digraph_edges,
     generate_random_dag_reference,
     longest_ending_at_bruteforce,
@@ -86,7 +87,7 @@ def _outcome(parse, text: str):
         g = parse(text)
     except GraphError as exc:
         return str(exc)
-    return g.vertex_count, g.edges, g._succ, g._pred
+    return g.vertex_count, g.edges, g._succ
 
 
 @pytest.fixture
@@ -151,8 +152,8 @@ class TestOnePassReader:
             "3\n0 1\n1 2": True,  # no final newline
             "3\n": True,  # no edges
             "0": True,
-            "003\n00 01\n1 002\n": True,  # leading zeros
-            "3\n0 1\n1 02\n": True,  # a leading zero in the last edge only
+            "003\n00 01\n1 002\n": False,  # leading zeros
+            "3\n0 1\n1 02\n": False,  # a leading zero in the last edge only
             "3\n0 2\n2 1\n": True,  # id n - 1
             "3\n0 1\n0 3\n2 2\n": True,  # id n, then a self-loop
             "3\n0 1\n1 1\n": True,  # a self-loop
@@ -181,7 +182,8 @@ class TestOnePassReader:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            assert read_both(f"{'0' * 17}3\n{'0' * 18} 2\n")
+            # 18 digits with leading zeros: JSON rejects them, the line loop reads them
+            assert not read_both(f"{'0' * 17}3\n{'0' * 18} 2\n")
             assert read_both(f"3\n0 {'1' * 18}\n")
             assert not read_both(f"3\n0 {'0' * 639}1\n")
             assert not read_both(f"3\n0 {'0' * 640}1\n")
@@ -201,7 +203,6 @@ class TestCanonicalEdges:
             assert graph.edges == ((0, 1), (0, 3), (2, 0))
             assert all(type(e) is tuple for e in graph.edges)
             assert graph._succ == ((1, 3), (), (0,), ())
-            assert graph._pred == ((2,), (0,), (), (0,))
 
     def test_repeat_names_the_smallest_repeated_pair(self):
         with pytest.raises(GraphError, match=r"^duplicate edge \(1, 2\)$"):
@@ -238,7 +239,6 @@ class TestCanonicalEdges:
         assert result.dag.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
         assert result.dag == DiGraph.build(4, result.dag.edges[::-1])
         assert result.dag._succ == ((1, 3), (2,), (3,), ())
-        assert result.dag._pred == ((), (0,), (1,), (0, 2))
 
 
 def test_sparse_generator_samples_distinct_forward_edges():
@@ -367,8 +367,7 @@ class TestLongestPath:
         value = longest_path_ending_at(g)
         for u, v in g.edges:
             assert value[v] >= value[u] + 1
-        for v in range(30):
-            preds = g.predecessors(v)
+        for v, preds in enumerate(adjacency_reference(30, g.edges)[1]):
             if preds:
                 assert any(value[v] == value[u] + 1 for u in preds)
 

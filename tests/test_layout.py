@@ -6,7 +6,7 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from oracles import longest_path_ending_at
+from oracles import adjacency_reference, longest_path_ending_at
 from pathdraw import (
     DiGraph,
     InvariantError,
@@ -74,8 +74,8 @@ class TestCompact:
         once = _compacted(g, d)
         # compacting again changes nothing: every row is already one below
         # its highest predecessor
-        for v in range(g.vertex_count):
-            assert once.y[v] == max((once.y[u] + 1 for u in g.predecessors(v)), default=0)
+        for v, preds in enumerate(adjacency_reference(g.vertex_count, g.edges)[1]):
+            assert once.y[v] == max((once.y[u] + 1 for u in preds), default=0)
         # compaction moves vertices only vertically: spine order is kept
         lay = _uncompacted(g, d)
         spines, spines_once = sorted(set(lay.x.values())), sorted(set(once.x.values()))
@@ -117,7 +117,7 @@ def _ranks(g, kind, seed):
         random.Random(seed).shuffle(items)
         return dict(items)
     if kind == "max-id-kahn":
-        indeg = [len(g.predecessors(v)) for v in range(n)]
+        indeg = list(map(len, adjacency_reference(n, g.edges)[1]))
         heap = [-v for v in range(n) if not indeg[v]]
         heapify(heap)
         rank = {}

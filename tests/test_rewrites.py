@@ -41,16 +41,13 @@ from pathdraw import (
     draw,
     measure,
     min_path_cover,
-    parse_graph,
     remove_cycles,
     render_json,
     render_svg,
-    run_pipeline_full,
     topo_sort,
 )
 from pathdraw.decomposition import _hopcroft_karp, classify_edges
 from pathdraw.drawing import BundleRecord
-from pathdraw.graph import serialize_graph
 from pathdraw.layout import Layout, MetricsReport
 from pathdraw.metrics import count_crossings, count_vertex_touches
 from pathdraw.routing import gap_occupants
@@ -67,38 +64,12 @@ class TestAdjacency:
     @pytest.mark.parametrize("seed", range(40))
     def test_sorted_once_equals_sorted_per_vertex(self, seed):
         g = _cyclic(seed)
-        assert (g._succ, g._pred) == adjacency_reference(g.vertex_count, g.edges)
+        assert g._succ == adjacency_reference(g.vertex_count, g.edges)[0]
 
     def test_isolated_vertices_and_empty_graph(self):
         g = DiGraph.build(5, [(3, 1)])
         assert g._succ == ((), (), (), (1,), ())
-        assert g._pred == ((), (3,), (), (), ())
-        empty = DiGraph.build(0, [])
-        assert (empty._succ, empty._pred) == ((), ())
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_no_stage_builds_predecessor_tuples(self, seed):
-        # predecessor tuples are built on first read; no stage of the
-        # library path or of run_pipeline_full, self-check included, reads them
-        n = random.Random(seed).randint(2, 120)
-        inputs = (
-            DiGraph.build(n, cyclic_digraph_edges(n, 2 * n, seed)),
-            DiGraph.build(n, uniform_dag_edges(n, 2 * n, seed)),
-        )
-        for built in inputs:
-            g = parse_graph(serialize_graph(built))
-            dag = remove_cycles(g).dag
-            topo_sort(dag)
-            drawing = draw(dag, min_path_cover(dag))
-            render_svg(drawing.layout)
-            render_json(drawing.layout, measure(drawing.layout), drawing.bundles)
-            assert run_pipeline_full(g).graph == dag
-            # an acyclic g comes back from remove_cycles as the DAG itself
-            assert "_pred" not in vars(g) and "_pred" not in vars(dag)
-            for graph in (g, dag):
-                _, pred = adjacency_reference(graph.vertex_count, graph.edges)
-                assert tuple(map(graph.predecessors, range(graph.vertex_count))) == pred
-                assert "_pred" in vars(graph)
+        assert DiGraph.build(0, [])._succ == ()
 
 
 class TestRemoveCycles:
@@ -106,12 +77,11 @@ class TestRemoveCycles:
     def test_equals_flip_and_rebuild(self, seed):
         g = _cyclic(seed)
         result = remove_cycles(g)
-        edges, succ, pred, back = remove_cycles_reference(g)
+        edges, succ, back = remove_cycles_reference(g)
         assert result.reversed_edges == back
         # the reference keeps input order; a DiGraph keeps its edges sorted
         assert result.dag.edges == tuple(sorted(edges))
         assert result.dag._succ == succ
-        assert result.dag._pred == pred
 
     def test_two_cycles_merge_as_before(self):
         # 0->1->0 with the back edge first, then last, in edge order; then a
@@ -121,7 +91,7 @@ class TestRemoveCycles:
         for edges, kept in cases:
             g = DiGraph.build(5, edges)
             result = remove_cycles(g)
-            dag_edges, _, _, back = remove_cycles_reference(g)
+            dag_edges, _, back = remove_cycles_reference(g)
             assert (result.dag.edges, result.reversed_edges) == (tuple(sorted(dag_edges)), back)
             assert result.dag.edge_count == kept
         # each of the four back edges merged with its reverse
@@ -130,11 +100,9 @@ class TestRemoveCycles:
     def test_sprawl_sized_graph_merges_the_same_edges(self):
         g = DiGraph.build(3000, cyclic_digraph_edges(3000, 12000, seed=5, twin_frac=0.1))
         result = remove_cycles(g)
-        edges, succ, pred, back = remove_cycles_reference(g)
+        edges, succ, back = remove_cycles_reference(g)
         assert g.edge_count - result.dag.edge_count == g.edge_count - len(edges) > 0
-        assert (result.dag.edges, result.dag._succ, result.dag._pred) == (
-            tuple(sorted(edges)), succ, pred
-        )
+        assert (result.dag.edges, result.dag._succ) == (tuple(sorted(edges)), succ)
         assert result.reversed_edges == back
 
     def test_acyclic_graph_comes_back_unchanged(self, diamond):
