@@ -3,8 +3,9 @@
 
 Runs ``pathdraw bench`` over generated graphs at growing sizes: it prints
 one CSV row per graph, then each size's median time over the seeds. The
-timed window is cycle removal + topological sort + drawing; generation,
-the path cover, and metric computation are excluded.
+time is that of the ``run_pipeline_full`` call: cycle removal, topological
+sort, the path cover, drawing and the self-check. Generation, metric
+computation and output are excluded.
 
 These times are single runs of a few milliseconds or less, so the ratio
 of two sizes' medians says little about growth. The growth check is criterion 06

@@ -11,16 +11,12 @@ the DAG, so the path cover and the drawing reuse them: ``draw`` compacts
 the rows visiting the vertices in rank order, and with compaction off puts
 each vertex on the row of its rank. Metrics are computed only when
 ``PipelineResult.metrics`` is first read. Any stage failure, a failed
-self-check included, is re-raised with the stage name. The wall-clock
-window ``PipelineResult.draw_ms``, which ``pathdraw bench`` reports, covers
-cycle removal, the topological sort, and the drawing stages; reading and
-parsing, the path-cover computation (part of the input in this framework),
-metrics, and file emission stay outside the clock.
+self-check included, is re-raised with the stage name. The pipeline keeps
+no clock: a caller that wants a time measures the call it makes.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,7 +40,6 @@ class StageError(Exception):
 class PipelineResult:
     drawing: Drawing
     graph: DiGraph
-    draw_ms: float
 
     @cached_property
     def metrics(self) -> MetricsReport:
@@ -76,11 +71,9 @@ def run_pipeline_full(
     reorder: bool = True,
 ) -> PipelineResult:
     """Draw ``g``, on the paths listed in ``paths_text`` or on a minimum path cover."""
-    t0 = time.perf_counter()
     removal = run_stage("cycle-removal", remove_cycles, g)
     dag = removal.dag
     run_stage("topo-sort", topo_sort, dag)
-    timed = time.perf_counter() - t0
 
     if paths_text is not None:
         d = run_stage(
@@ -89,7 +82,6 @@ def run_pipeline_full(
     else:
         d = run_stage("decomposition", min_path_cover, dag)
 
-    t1 = time.perf_counter()
     drawing = run_stage(
         "draw",
         draw,
@@ -100,10 +92,9 @@ def run_pipeline_full(
         bundle_cross_incoming=bundle_cross,
         reorder=reorder,
     )
-    timed += time.perf_counter() - t1
 
     if compact:
         run_stage("self-check", assert_properties, dag, drawing.layout)
 
-    return PipelineResult(drawing=drawing, graph=dag, draw_ms=timed * 1000.0)
+    return PipelineResult(drawing=drawing, graph=dag)
 

@@ -12,6 +12,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import gcd
@@ -132,6 +133,54 @@ def vertex_touches_bruteforce(positions: dict, routes: dict) -> int:
                     touches += 1
                     break
     return touches
+
+
+# one vertex radius in grid units: the 6 px circle at the 24 px pitch of render_svg
+VERTEX_RADIUS = Fraction(1, 4)
+
+
+def _squared_distance(p, a, b) -> tuple:
+    """Squared distance from point p to the closed segment ab, as an exact
+    (numerator, denominator) pair; coordinates may be ints or Fractions."""
+    wx, wy = p[0] - a[0], p[1] - a[1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dot = wx * dx + wy * dy
+    length2 = dx * dx + dy * dy
+    if dot <= 0 or length2 == 0:
+        return wx * wx + wy * wy, 1
+    if dot >= length2:
+        ex, ey = p[0] - b[0], p[1] - b[1]
+        return ex * ex + ey * ey, 1
+    cross = wx * dy - wy * dx
+    return cross * cross, length2
+
+
+def close_passes_bruteforce(positions: dict, routes: dict) -> int:
+    """(route, non-incident vertex) pairs whose polyline passes strictly
+    closer to the vertex than ``VERTEX_RADIUS``.
+
+    A route that is a single point counts as that point. Each segment is
+    tested against every vertex whose x lies within the radius of the
+    segment's x-range; no other vertex can be that close. Squared distances
+    are compared exactly, with no float.
+    """
+    limit = VERTEX_RADIUS**2
+    by_x = sorted((p[0], v) for v, p in positions.items())
+    xs = [x for x, _ in by_x]
+    passes = 0
+    for (u, w), route in routes.items():
+        near: set = set()
+        for a, b in list(zip(route, route[1:])) or [(p, p) for p in route]:
+            lo, hi = sorted((a[0], b[0]))
+            first = bisect_left(xs, lo - VERTEX_RADIUS)
+            for _, v in by_x[first : bisect_right(xs, hi + VERTEX_RADIUS)]:
+                if v == u or v == w or v in near:
+                    continue
+                num, den = _squared_distance(positions[v], a, b)
+                if num * limit.denominator < limit.numerator * den:
+                    near.add(v)
+        passes += len(near)
+    return passes
 
 
 def arbitrary_layout(rng: random.Random) -> Layout:

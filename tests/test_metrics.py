@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracles import (
+    VERTEX_RADIUS,
+    _squared_distance,
     arbitrary_layout,
+    close_passes_bruteforce,
     crossing_pairs_bruteforce,
     segment_count,
     vertex_touches_bruteforce,
@@ -283,3 +287,68 @@ class TestVertexTouches:
         # vertex 4 at (0, 2) lies on both routes but belongs to neither edge
         assert count_vertex_touches(lay2) == 2
         assert count_crossings(lay2) == 1  # the two routes still cross
+
+
+class TestClosePasses:
+    """The pixel-distance oracle: a route closer than one vertex radius."""
+
+    def test_route_through_a_vertex_point(self):
+        positions = {0: (0, 0), 1: (0, 4), 2: (0, 2)}
+        routes = {(0, 1): ((0, 0), (0, 4))}
+        assert close_passes_bruteforce(positions, routes) == 1
+        assert vertex_touches_bruteforce(positions, routes) == 1
+
+    def test_distance_one_fifth_is_counted(self):
+        # (1, 1) lies 1/5 from the segment (0, 0)-(3, 4), off every lattice point of it
+        positions = {0: (0, 0), 1: (3, 4), 2: (1, 1)}
+        routes = {(0, 1): ((0, 0), (3, 4))}
+        assert _squared_distance((1, 1), (0, 0), (3, 4)) == (1, 25)
+        assert close_passes_bruteforce(positions, routes) == 1
+        assert vertex_touches_bruteforce(positions, routes) == 0
+
+    def test_distance_exactly_one_quarter_is_not_counted(self):
+        quarter, fifth = Fraction(1, 4), Fraction(1, 5)
+        routes = {(0, 1): ((0, 0), (4, 0))}
+        # beside the interior, then beyond the start, at the radius and inside it
+        for p, counted in [
+            ((2, quarter), 0), ((2, -quarter), 0), ((2, fifth), 1),
+            ((-quarter, 0), 0), ((-fifth, 0), 1),
+        ]:
+            positions = {0: (0, 0), 1: (4, 0), 2: p}
+            assert close_passes_bruteforce(positions, routes) == counted, p
+
+    def test_shallow_diagonal(self):
+        # (0, 0)-(4, 1) passes (1, 0) and (3, 1) at 1/sqrt(17) < 1/4, and
+        # (2, 0) and (2, 1) at 2/sqrt(17); it meets no lattice point inside
+        positions = {0: (0, 0), 1: (4, 1), 2: (1, 0), 3: (2, 0), 4: (2, 1), 5: (3, 1)}
+        routes = {(0, 1): ((0, 0), (4, 1))}
+        assert close_passes_bruteforce(positions, routes) == 2
+        assert vertex_touches_bruteforce(positions, routes) == 0
+
+    def test_endpoints_and_repeat_visits_count_once(self):
+        # the route's own ends never count; a vertex passed twice counts once
+        positions = {0: (0, 0), 1: (2, 0), 2: (1, 0)}
+        routes = {(0, 1): ((0, 0), (2, 0), (0, 0), (2, 0)), (0, 2): ((0, 0), (1, 0))}
+        assert close_passes_bruteforce(positions, routes) == 1
+
+    def test_window_against_every_vertex(self):
+        # the x-window skips no vertex that a scan of all of them finds, and
+        # every lattice touch is a close pass
+        rng = random.Random(17)
+        limit = VERTEX_RADIUS**2
+        for _ in range(300):
+            lay = arbitrary_layout(rng)
+            positions = {v: (lay.x[v], lay.y[v]) for v in lay.x}
+            scan = 0
+            for (u, w), route in lay.routes.items():
+                segments = list(zip(route, route[1:])) or [(p, p) for p in route]
+                for v, p in positions.items():
+                    if v in (u, w):
+                        continue
+                    scan += any(
+                        num * limit.denominator < limit.numerator * den
+                        for num, den in (_squared_distance(p, a, b) for a, b in segments)
+                    )
+            passes = close_passes_bruteforce(positions, lay.routes)
+            assert passes == scan
+            assert passes >= vertex_touches_bruteforce(positions, lay.routes)

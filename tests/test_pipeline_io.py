@@ -674,22 +674,23 @@ class TestBench:
         assert ",".join(rows[0]).startswith("n10-d1.6-s1,10,16,")
 
     def test_csv_text_is_pinned(self, capsys, monkeypatch):
-        # fixed results in place of the pipeline's, so only the writer is pinned
+        # fixed results and clock ticks in place of the pipeline's, so only
+        # the writer is pinned
         results = iter(
             [
                 SimpleNamespace(
                     graph=SimpleNamespace(edge_count=4),
                     metrics=MetricsReport(crossings=5, bends=6, width=7, height=8, area=56),
-                    draw_ms=2.0,
                 ),
                 SimpleNamespace(
                     graph=SimpleNamespace(edge_count=16),
                     metrics=MetricsReport(crossings=0, bends=9, width=4, height=6, area=24),
-                    draw_ms=0.12504,
                 ),
             ]
         )
         monkeypatch.setattr(pathdraw.cli, "run_pipeline_full", lambda g: next(results))
+        ticks = iter([0.0, 0.002, 1.0, 1.00012504])
+        monkeypatch.setattr(pathdraw.cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
         assert main(["bench", "--sizes", "3,10", "--deg", "1.6", "--seeds", "1"]) == 0
         assert capsys.readouterr().out == (
             "graph_id,n,m,crossings,bends,width,height,area,wall_ms\n"
@@ -698,6 +699,29 @@ class TestBench:
             "median n=3: 2.000 ms\n"
             "median n=10: 0.125 ms\n"
         )
+
+    def test_metrics_stay_outside_the_clock(self, capsys, monkeypatch):
+        # reading the metrics takes 5 s on the fake clock; wall_ms is the
+        # 3 ms of the pipeline call alone
+        now = [0.0]
+
+        class Result:
+            graph = SimpleNamespace(edge_count=4)
+
+            @property
+            def metrics(self):
+                now[0] += 5.0
+                return MetricsReport(crossings=0, bends=0, width=1, height=1, area=1)
+
+        def pipeline(g):
+            now[0] += 0.003
+            return Result()
+
+        monkeypatch.setattr(pathdraw.cli, "run_pipeline_full", pipeline)
+        monkeypatch.setattr(pathdraw.cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        assert main(["bench", "--sizes", "3", "--deg", "1.6", "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["n3-d1.6-s1,3,4,0,0,1,1,1,3.0", "median n=3: 3.000 ms"]
 
     def test_median_aggregation(self, capsys):
         # medians come sorted by size, each over every row of that size
