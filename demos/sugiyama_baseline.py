@@ -68,7 +68,7 @@ def chains_graph(k: int, length: int, seed: int) -> DiGraph:
                 if j + s < length and rng.random() < 0.4:
                     edges.add((v, chain[j + s]))
             target = j + rng.randint(1, 4)
-            if target < length:
+            if k > 1 and target < length:
                 other = rng.randrange(k - 1)
                 edges.add((v, chains[other + (other >= c)][target]))
     return DiGraph.build(k * length, edges)

@@ -61,10 +61,10 @@ def transitive_bundles(
     of one set of its other endpoint, and only that set's new degree is
     pushed, so every non-empty set keeps an entry with its current key and
     the heap sees one push per transitive edge: O(k + t log t) for k paths
-    and t transitive edges, once the decomposition has its path index.
+    and t transitive edges, reading the path index of ``classification``.
     """
     out: list[BundleInterval] = []
-    path_of = d.path_of(len(rows))
+    path_of = classification.path_of
     # both ends of a transitive edge are on one path
     buckets: list[list[tuple[int, int]]] = [[] for _ in d.paths]
     for e in classification.transitive_edges:

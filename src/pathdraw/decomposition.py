@@ -30,50 +30,15 @@ class PathDecomposition:
     def path_count(self) -> int:
         return len(self.paths)
 
-    def path_of(self, n: int) -> list[int]:
-        """Each vertex's path: ``path_of(n)[v]`` is the index of v's path.
-
-        Raises DecompositionError naming the missing, repeated and
-        out-of-range vertices unless the paths partition 0..n-1. Every
-        stage of a drawing reads the same list; callers must not modify it.
-        """
-        index, report = self._index(n)
-        if not report.ok:
-            raise DecompositionError(f"not a partition of the vertices: {report.describe()}")
-        return index
-
-    def _index(self, n: int) -> tuple[list[int], ValidationReport]:
-        """Each vertex's path index (-1 for none) and how the paths fail to
-        partition 0..n-1. Built on the first call for an n and kept, so
-        validation and drawing walk the paths once."""
-        cached = self.__dict__.get("_partition")
-        if cached is not None and cached[0] == n:
-            return cached[1], cached[2]
-        index = [-1] * n
-        repeated: set[int] = set()
-        outside: set[int] = set()
-        for pi, path in enumerate(self.paths):
-            for v in path:
-                if not 0 <= v < n:
-                    outside.add(v)
-                elif index[v] != -1:
-                    repeated.add(v)
-                else:
-                    index[v] = pi
-        report = ValidationReport(
-            missing=tuple(v for v, pi in enumerate(index) if pi == -1),
-            duplicated=tuple(sorted(repeated)),
-            out_of_range=tuple(sorted(outside)),
-        )
-        # a frozen dataclass takes attributes only through object.__setattr__
-        object.__setattr__(self, "_partition", (n, index, report))
-        return index, report
-
 
 class EdgeClassification(NamedTuple):
+    """Each edge's kind, the transitive and cross edges, and each vertex's
+    path: what ``classify_edges`` finds and the later stages of ``draw`` read."""
+
     category: dict[tuple[int, int], str]  # every edge -> its kind, in edge order
     transitive_edges: list[tuple[int, int]]  # in edge order
     cross_edges: list[tuple[int, int]]  # in edge order
+    path_of: list[int]  # path_of[v] is the index of v's path
 
 
 @dataclass(frozen=True)
@@ -116,6 +81,28 @@ class ValidationReport:
         return "; ".join(parts) if parts else "ok"
 
 
+def _partition(paths: tuple[tuple[int, ...], ...], n: int) -> tuple[list[int], ValidationReport]:
+    """Each vertex's path index (-1 for none) and how the paths fail to
+    partition 0..n-1."""
+    index = [-1] * n
+    repeated: set[int] = set()
+    outside: set[int] = set()
+    for pi, path in enumerate(paths):
+        for v in path:
+            if not 0 <= v < n:
+                outside.add(v)
+            elif index[v] != -1:
+                repeated.add(v)
+            else:
+                index[v] = pi
+    report = ValidationReport(
+        missing=tuple(v for v, pi in enumerate(index) if pi == -1),
+        duplicated=tuple(sorted(repeated)),
+        out_of_range=tuple(sorted(outside)),
+    )
+    return index, report
+
+
 def validate_decomposition(
     g: DiGraph, d: PathDecomposition, reversed_edges: frozenset = frozenset()
 ) -> ValidationReport:
@@ -127,7 +114,7 @@ def validate_decomposition(
     removal flipped to make g) is reported as such, not as a non-edge.
     """
     n = g.vertex_count
-    _, report = d._index(n)
+    _, report = _partition(d.paths, n)
     non_edges: list[tuple[int, int]] = []
     reversed_pairs: list[tuple[int, int]] = []
     for path in d.paths:
@@ -140,11 +127,15 @@ def validate_decomposition(
 def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     """Map each edge to its kind in one pass over g's edges, which also lists
     the transitive and the cross edges in edge order; ``draw`` keeps the map.
+    The walk over the paths that checks the partition builds the path index
+    that the later stages read.
 
     Raises DecompositionError unless the paths of d partition g's vertices
     and each consecutive pair is an edge of g.
     """
-    path_of = d.path_of(g.vertex_count)
+    path_of, report = _partition(d.paths, g.vertex_count)
+    if not report.ok:
+        raise DecompositionError(f"not a partition of the vertices: {report.describe()}")
     after = [-1] * g.vertex_count  # each vertex's successor on its path
     for path in d.paths:
         for u, v in zip(path, path[1:]):
@@ -166,7 +157,7 @@ def classify_edges(g: DiGraph, d: PathDecomposition) -> EdgeClassification:
     if len(category) - len(transitive) - len(cross) != g.vertex_count - d.path_count:
         report = validate_decomposition(g, d)
         raise DecompositionError(f"invalid decomposition: {report.describe()}")
-    return EdgeClassification(category, transitive, cross)
+    return EdgeClassification(category, transitive, cross, path_of)
 
 
 def _hopcroft_karp(n: int, adj: tuple[tuple[int, ...], ...]) -> list[int]:

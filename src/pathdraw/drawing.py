@@ -59,12 +59,11 @@ def draw(
     own. Raises DecompositionError unless ``d`` is a path decomposition of
     g (see ``classify_edges``).
     """
-    path_of = d.path_of(g.vertex_count)
     cls = classify_edges(g, d)
     y = place_rows(g, compact_rows)
     stacks = transitive_stacks(d, cls, y, reorder) if bundle_transitive_edges else {}
-    gaps = gap_stacks(cls, y, path_of, bundle_cross_incoming)
-    tags, x, lane_of, records = column_grid(path_of, d.path_count, gaps, stacks)
+    gaps = gap_stacks(cls, y, bundle_cross_incoming)
+    tags, x, lane_of, records = column_grid(cls.path_of, d.path_count, gaps, stacks)
     final = Layout(
         x=dict(enumerate(x)),
         y=dict(enumerate(y)),
@@ -105,10 +104,10 @@ def transitive_stacks(
 
 
 def gap_stacks(
-    cls: EdgeClassification, y: list[int], path_of: list[int], bundle_cross_incoming: bool
+    cls: EdgeClassification, y: list[int], bundle_cross_incoming: bool
 ) -> dict[int, LanePacking]:
     """Gap index -> the packed lanes of its occupants, for every gap with any."""
-    occupants = gap_occupants(y, path_of, cls.cross_edges, bundle_cross_incoming)
+    occupants = gap_occupants(y, cls.path_of, cls.cross_edges, bundle_cross_incoming)
     return {gap: pack_intervals(items) for gap, items in occupants.items()}
 
 

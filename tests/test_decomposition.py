@@ -24,6 +24,7 @@ from pathdraw import (
     topo_sort,
     validate_decomposition,
 )
+from pathdraw.bundling import transitive_bundles
 
 
 class TestValidate:
@@ -86,19 +87,13 @@ class TestDrawNeedsPartition:
             with pytest.raises(DecompositionError, match=f"^{re.escape(named)}$"):
                 draw(g, PathDecomposition(paths))
 
-    def test_validation_and_drawing_walk_the_paths_once(self, diamond):
-        class CountingPaths(tuple):
-            walks = 0
-
-            def __iter__(self):
-                CountingPaths.walks += 1
-                return super().__iter__()
-
-        d = PathDecomposition(CountingPaths(((0, 1, 3), (2,))))
+    def test_nothing_is_written_onto_the_decomposition(self, diamond):
+        # the path index lives on the classification, not on d
+        d = parse_decomposition("0 1 3\n2\n", diamond)
         assert validate_decomposition(diamond, d).ok
-        walks = CountingPaths.walks
-        assert d.path_of(diamond.vertex_count) == [0, 0, 1, 0]
-        assert CountingPaths.walks == walks
+        transitive_bundles(d, classify_edges(diamond, d), [0, 1, 1, 2])
+        draw(diamond, d)
+        assert d.__dict__ == {"paths": ((0, 1, 3), (2,))}
 
 
 def _path_edges(cls) -> set:
@@ -119,6 +114,7 @@ class TestClassify:
         assert _path_edges(cls) == {(0, 1), (1, 3)}
         assert set(cls.transitive_edges) == set()
         assert set(cls.cross_edges) == {(0, 2), (2, 3)}
+        assert cls.path_of == [0, 0, 1, 0]
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_classes_partition_edge_set(self, seed):

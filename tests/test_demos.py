@@ -109,7 +109,9 @@ def _small_inputs():
 
 
 def test_sugiyama_layouts_are_well_formed(sugiyama):
-    inputs = [*_small_inputs(), sugiyama.chains_graph(3, 12, 1)]
+    # one chain has no other chain to send a cross edge to
+    chains = [sugiyama.chains_graph(k, 12, 1) for k in (3, 1)]
+    inputs = [*_small_inputs(), *chains]
     for g in inputs:
         dag = remove_cycles(g).dag
         layout = sugiyama.sugiyama_layout(g)

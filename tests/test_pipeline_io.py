@@ -5,6 +5,8 @@ import json
 import math
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from statistics import median
 from types import ModuleType, SimpleNamespace
@@ -14,7 +16,7 @@ import pytest
 import pathdraw
 import pathdraw.cli
 import pathdraw.pipeline
-from oracles import chains_dag, ladder_dag
+from oracles import chains_dag, cyclic_digraph_edges, ladder_dag, uniform_dag_edges
 from pathdraw import (
     DiGraph,
     GraphError,
@@ -458,6 +460,37 @@ class TestCli:
         paths.write_text("0 2 1\n")
         assert main(["layout", str(edges), "--paths", str(paths)]) == 2
         assert capsys.readouterr().err.endswith("consecutive pairs that are not edges (2, 1)\n")
+
+    @pytest.mark.parametrize(
+        "edges",
+        [uniform_dag_edges(300, 480, 1), cyclic_digraph_edges(300, 600, 1)],
+        ids=["uniform", "cyclic"],
+    )
+    def test_own_paths_given_back_draw_the_same_bytes(self, tmp_path, capsys, edges):
+        # the paths of a default layout, read off its JSON vertices and
+        # given with --paths, pass both partition checks and draw the same
+        # SVG, JSON and metrics as the minimum path cover did
+        source = tmp_path / "g.edges"
+        source.write_text(serialize_graph(DiGraph.build(300, edges)), encoding="utf-8")
+
+        def layout(name: str, *extra: str) -> tuple[bytes, bytes, str]:
+            svg, jsn = tmp_path / f"{name}.svg", tmp_path / f"{name}.json"
+            argv = ["layout", str(source), "--svg", str(svg), "--json", str(jsn), "--metrics"]
+            assert main([*argv, *extra]) == 0
+            return svg.read_bytes(), jsn.read_bytes(), capsys.readouterr().out
+
+        default = layout("default")
+        vertices = json.loads(default[1])["vertices"]
+        vertices.sort(key=itemgetter("path", "order_in_path"))
+        paths = tmp_path / "own.paths"
+        paths.write_text(
+            "".join(
+                " ".join(str(v["id"]) for v in path) + "\n"
+                for _, path in groupby(vertices, itemgetter("path"))
+            ),
+            encoding="utf-8",
+        )
+        assert layout("given", "--paths", str(paths)) == default
 
     @pytest.mark.parametrize("text", ["2\n0 \u00b2\n", "2\n0 \u0661\n", "\u00b2\n0 1\n"])
     def test_non_ascii_digits_in_edge_list_exit_2(self, tmp_path, capsys, text):
