@@ -28,7 +28,7 @@ from statistics import median
 
 from .decomposition import DecompositionError
 from .generator import generate_random_dag
-from .graph import GraphError, serialize_graph
+from .graph import GraphError, check_vertex_count, serialize_graph
 from .metrics import count_vertex_touches
 from .pipeline import StageError, read_graph, run_pipeline_full, run_stage
 from .render import metrics_block, render_json, render_svg
@@ -132,6 +132,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    run_stage("generate", check_vertex_count, args.n)  # else layout could not read it
     g = run_stage("generate", generate_random_dag, args.n, args.deg, args.seed)
     run_stage("write", Path(args.out).write_text, serialize_graph(g), encoding="utf-8")
     return 0

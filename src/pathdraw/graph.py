@@ -13,9 +13,9 @@ it report a repeat, naming the smallest repeated pair.
 A graph holds one adjacency, its successor tuples; ``topo_sort`` counts
 in-degrees from them.
 
-``parse_graph`` has two readers: a one-pass reader for the canonical form
-that ``serialize_graph`` writes, and a line loop for every other document,
-including a canonical one with a leading zero.
+``parse_graph`` has two readers, one pass for the canonical form that
+``serialize_graph`` writes and a line loop for the rest; both hand their
+pairs to ``DiGraph.build``, after refusing a count above ``VERTEX_LIMIT``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappush, heappop
 from itertools import filterfalse
-from operator import eq
+
+# the most vertices a parsed document may declare, or ``gen`` may write
+VERTEX_LIMIT = 1_000_000
 
 
 class GraphError(Exception):
@@ -108,6 +110,12 @@ def number_too_long(lineno: int, digits: int) -> str:
     )
 
 
+def check_vertex_count(vertex_count: int) -> None:
+    """Refuse a count above ``VERTEX_LIMIT``, naming the limit, not the count."""
+    if vertex_count > VERTEX_LIMIT:
+        raise GraphError(f"vertex count above the {VERTEX_LIMIT}-vertex limit")
+
+
 # A canonical document: the count line, then ``u v`` lines, joined by single
 # newlines, with an optional final newline. No number has more than 18
 # digits, which stays below every limit int() may have on decimal digits
@@ -129,10 +137,7 @@ def parse_graph(text: str) -> DiGraph:
     loop, and so does a canonical one with a leading zero, which JSON
     rejects. The loop reads the same count and edges from a canonical
     document, since its count and edge lines are exactly the lines that the
-    loop keeps. Either way the edges are checked by C-level passes, ``max``
-    for the range, ``map(eq, ...)`` for self-loops and the sorted unique
-    edges for repeats, and any fault is handed to ``DiGraph.build`` on the
-    same pairs in the same order, so its message is the only wording.
+    loop keeps. Either way the pairs go, in the same order, to ``_graph``.
     """
     # a match that stops short of the end, unlike fullmatch, fails without
     # backtracking over every line before the fault
@@ -178,19 +183,11 @@ def _parse_lines(text: str) -> DiGraph:
 
 
 def _graph(vertex_count: int, us: list[int], vs: list[int]) -> DiGraph:
-    """The graph with edges (us[i], vs[i]), from non-negative int ids.
-
-    On any fault ``DiGraph.build`` runs on the same pairs to name it, so the
-    checks here decide only whether a graph is built, never the message.
-    """
-    pairs = list(zip(us, vs))
-    in_range = max(us, default=-1) < vertex_count and max(vs, default=-1) < vertex_count
-    if in_range and not any(map(eq, us, vs)):
-        unique, succ = _adjacency(vertex_count, pairs)
-        if len(unique) == len(pairs):
-            return DiGraph(vertex_count, unique, succ)
+    """The graph with edges (us[i], vs[i]), from non-negative int ids;
+    the count is checked before anything is allocated per vertex."""
+    check_vertex_count(vertex_count)
     try:
-        return DiGraph.build(vertex_count, pairs)
+        return DiGraph.build(vertex_count, zip(us, vs))
     except GraphError as exc:
         raise GraphError(f"bad edge list: {exc}") from exc
 

@@ -26,8 +26,8 @@ from pathdraw import (
     remove_cycles,
     topo_sort,
 )
-from pathdraw.graph import serialize_graph
-from test_cli_fuzz import MAX_VERTICES, _declared_vertices, _mutate
+from pathdraw.graph import VERTEX_LIMIT, serialize_graph
+from test_cli_fuzz import DIGIT_LIMIT, MAX_VERTICES, _declared_vertices, _mutate
 
 
 class TestParse:
@@ -94,31 +94,21 @@ def _outcome(parse, text: str):
 def read_both(monkeypatch):
     """Read a document with parse_graph and with the line loop alone.
 
-    The line loop's pairs go straight to DiGraph.build, without the C-level
-    checks that parse_graph runs before it. Checks that the two give equal
-    graphs, adjacency included, or the same GraphError text, and returns
-    whether parse_graph read the document in one pass, without handing it
-    to the line loop.
+    Checks that the two give equal graphs, adjacency included, or the same
+    GraphError text, and returns whether parse_graph read the document in
+    one pass, without handing it to the line loop.
     """
-    line_loop, checks = pathdraw.graph._parse_lines, pathdraw.graph._graph
+    line_loop = pathdraw.graph._parse_lines
     handed = []
 
     def counted(text: str):
         handed.append(text)
         return line_loop(text)
 
-    def build_only(vertex_count: int, us: list[int], vs: list[int]) -> DiGraph:
-        try:
-            return DiGraph.build(vertex_count, zip(us, vs))
-        except GraphError as exc:
-            raise GraphError(f"bad edge list: {exc}") from exc
-
     monkeypatch.setattr(pathdraw.graph, "_parse_lines", counted)
 
     def read(text: str) -> bool:
-        monkeypatch.setattr(pathdraw.graph, "_graph", build_only)
         expected = _outcome(line_loop, text)
-        monkeypatch.setattr(pathdraw.graph, "_graph", checks)
         before = len(handed)
         assert _outcome(parse_graph, text) == expected, repr(text[:200])
         return len(handed) == before
@@ -189,6 +179,38 @@ class TestOnePassReader:
             assert not read_both(f"3\n0 {'0' * 640}1\n")
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestVertexLimit:
+    LIMIT_MESSAGE = rf"^vertex count above the {VERTEX_LIMIT}-vertex limit$"
+
+    def test_limit_is_a_million_vertices(self):
+        assert VERTEX_LIMIT == 1_000_000
+
+    def test_count_at_the_limit_is_read_by_both_readers(self):
+        # a leading comment sends the same document to the line loop
+        one_pass, line_loop = parse_graph("1000000\n"), parse_graph("# c\n1000000\n")
+        for g in (one_pass, line_loop):
+            assert g.vertex_count == VERTEX_LIMIT and g.edges == ()
+        assert one_pass == line_loop
+
+    def test_count_above_the_limit_is_refused_by_both_readers(self, read_both):
+        cases = {
+            "1000001\n": True,
+            "# c\n1000001\n": False,
+            "9" * 18 + "\n": True,  # the longest count the one-pass reader reads
+            "1000000000000000000\n": False,  # 19 digits
+            "1000001\n0 0\n0 5\n": True,  # the count is named before the edges
+        }
+        if not 0 < DIGIT_LIMIT < 4300:
+            cases["9" * 4300 + "\n"] = False  # not echoed in the message
+        for text, one_pass in cases.items():
+            assert read_both(text) is one_pass, repr(text[:40])
+            with pytest.raises(GraphError, match=self.LIMIT_MESSAGE):
+                parse_graph(text)
+
+    def test_library_calls_take_any_count(self):
+        assert DiGraph.build(VERTEX_LIMIT + 1, [(0, 1)]).vertex_count == VERTEX_LIMIT + 1
 
 
 class TestCanonicalEdges:

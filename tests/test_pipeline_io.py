@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from itertools import groupby
 from operator import itemgetter
@@ -34,7 +36,7 @@ from pathdraw import (
     topo_sort,
 )
 from pathdraw.cli import main
-from pathdraw.graph import serialize_graph
+from pathdraw.graph import VERTEX_LIMIT, serialize_graph
 from pathdraw.layout import MetricsReport
 from pathdraw.render import SVG_PITCH
 
@@ -46,6 +48,7 @@ needs_digit_limit = pytest.mark.skipif(
     not DIGIT_LIMIT, reason="the interpreter converts decimals of any length"
 )
 PYPROJECT = README.with_name("pyproject.toml")
+LIMIT_MESSAGE = f"vertex count above the {VERTEX_LIMIT}-vertex limit"
 
 ALL_ON = {"bundle_cross": True, "bundle_transitive": True, "compact": True, "reorder": True}
 
@@ -562,6 +565,44 @@ class TestCli:
             f"error: stage 'decomposition': line 2: a number of {DIGIT_LIMIT + 1} digits is "
             f"longer than the {DIGIT_LIMIT}-digit limit\n"
         )
+
+    @pytest.mark.parametrize("count", ["30000000", "1000000000000000000"])
+    def test_count_above_the_vertex_limit_exits_2_under_a_memory_cap(self, tmp_path, count):
+        # a count is refused before anything is allocated per vertex, so a
+        # 2 GB address space is enough; the cap is set in the child only
+        resource = pytest.importorskip("resource")
+        cap = 2_000_000 * 1024
+        edges, svg = tmp_path / "g.edges", tmp_path / "g.svg"
+        edges.write_text(count + "\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "pathdraw.cli", "layout", str(edges), "--svg", str(svg)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(README.with_name("src"))},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (2, f"error: stage 'parse': {LIMIT_MESSAGE}\n")
+        assert not svg.exists()
+
+    def test_gen_above_the_vertex_limit_exits_2_before_generating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def generate(n, deg, seed):
+            calls.append(n)
+            return DiGraph.build(2, [(0, 1)])
+
+        monkeypatch.setattr(pathdraw.cli, "generate_random_dag", generate)
+        out = tmp_path / "g.edges"
+        argv = ["gen", "--n", str(VERTEX_LIMIT + 1), "--deg", "1", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: stage 'generate': {LIMIT_MESSAGE}\n"
+        assert calls == [] and not out.exists()
+        argv[2] = str(VERTEX_LIMIT)
+        assert main(argv) == 0
+        assert calls == [VERTEX_LIMIT] and out.read_text() == "2\n0 1\n"
 
     def test_ladder_with_long_augmenting_path_exits_0(self, tmp_path, capsys):
         edges = tmp_path / "ladder.edges"
